@@ -2,7 +2,8 @@
 
 JSON goes to standard output (sorted keys, so identical invocations give
 byte-identical output); `--pretty` indents it.  Exit codes: 0 on success,
-1 when a predicate is false or a verification suite fails, 2 on usage errors.
+1 when a predicate is false or a verification suite fails, 2 on usage errors
+and on every library error, each reported as one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ import argparse
 import json
 import sys
 
-from .cone import QuasiIdeal, UnsupportedRing, cone_hom_set, cone_pi0, quasi_ideal_check
-from .derham import MonomialAlgebra, hodge_cohomology
+from .cone import ConeError, QuasiIdeal, UnsupportedRing, cone_hom_set, cone_pi0, quasi_ideal_check
+from .derham import DeRhamError, MonomialAlgebra, hodge_cohomology
 from .filtration import (
     FiltrationError,
     Subspace,
@@ -23,10 +24,17 @@ from .filtration import (
     step_filtration,
 )
 from .indexset import IndexSet, IndexSetError, index_set_make
-from .prismatic import AffinePresentation, PrismaticContext, prismatic_points_affine, witt_points
-from .rings import ParseError, RingError, ValidationError, make_ring
-from .structure import ContextError, LocalContext, is_distinguished, is_hodge_tate, local_decompose
+from .prismatic import (
+    AffinePresentation,
+    PrismaticContext,
+    PrismaticError,
+    prismatic_points_affine,
+    witt_points,
+)
+from .rings import RingError, make_ring
+from .structure import LocalContext, is_distinguished, is_hodge_tate, local_decompose
 from .suites import SUITES, Budget, coverage_map, suite_run
+from .universal import GenerationError
 from .witt import WittError, frobenius, ghost, make_witt, teichmuller, verschiebung, witt_add, witt_mul, witt_neg, witt_sub
 
 
@@ -399,15 +407,16 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (
         UsageError,
-        ParseError,
-        ValidationError,
-        IndexSetError,
-        ContextError,
         KeyError,
+        RingError,  # ParseError, ValidationError, UnsupportedRing, InexactDivision, ...
+        IndexSetError,
+        WittError,  # ContextError, EnumerationBudget, DworkError
+        FiltrationError,
+        GenerationError,  # NotMaterialized
+        PrismaticError,
+        ConeError,
+        DeRhamError,
     ) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (RingError, WittError, FiltrationError, UnsupportedRing) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

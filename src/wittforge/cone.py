@@ -216,10 +216,6 @@ def quasi_ideal_check(q: QuasiIdeal):
 # ring levels R_n = R x I^{n-1}
 
 
-def cone_level_zero(q: QuasiIdeal, n: int):
-    return (q.ring.zero(),) + tuple(q.module.zero() for _ in range(n - 1))
-
-
 def cone_level_one(q: QuasiIdeal, n: int):
     return (q.ring.one(),) + tuple(q.module.zero() for _ in range(n - 1))
 

@@ -446,10 +446,6 @@ def _predicted_gr_dim(g, i, D):
     return binomial(g + i - 1, i) * binomial(g + (D - i), g)
 
 
-def _count_monomials(nvars, deg):
-    return binomial(nvars + deg - 1, deg)
-
-
 def _monomials(nvars, max_total):
     out = []
 

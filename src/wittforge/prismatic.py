@@ -220,9 +220,6 @@ class PointGroupoid:
     def morphism_count(self):
         return sum(len(v) for v in self.homs.values())
 
-    def isotropy_sizes(self):
-        return [len(self.hom(i, i)) for i in range(len(self.objects))]
-
     def _compose(self, m1, m2):
         return tuple(self.wring.add(x, y) for x, y in zip(m1, m2))
 

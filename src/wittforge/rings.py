@@ -43,6 +43,10 @@ class UnsupportedRing(RingError):
     pass
 
 
+def _same(a):
+    return a
+
+
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 _INT_RE = re.compile(r"^-?\d+$")
 _FRAC_RE = re.compile(r"^-?\d+(/\d+)?$")
@@ -99,6 +103,15 @@ class Ring:
 
     def nilpotent_index(self, a):
         """Return least k >= 1 with a^k = 0, or None if a is not nilpotent."""
+        raise NotImplementedError
+
+    def lift(self):
+        """(S, reduce): a ring S without additive torsion that maps onto this one.
+
+        Raw values of this ring are raw values of S, and reduce maps a raw
+        value of S to its canonical image here; it is a ring homomorphism.
+        The Witt kernel computes over S, where the ghost map is injective.
+        """
         raise NotImplementedError
 
     # -- sets of elements --------------------------------------------------
@@ -246,6 +259,9 @@ class IntegerRing(Ring):
     def unit_inverse(self, a):
         return a if a in (1, -1) else None
 
+    def lift(self):
+        return self, _same
+
     def nilpotent_index(self, a):
         return 1 if a == 0 else None
 
@@ -291,6 +307,9 @@ class RationalRing(Ring):
 
     def unit_inverse(self, a):
         return 1 / a if a != 0 else None
+
+    def lift(self):
+        return self, _same
 
     def nilpotent_index(self, a):
         return 1 if a == 0 else None
@@ -346,6 +365,9 @@ class ZModRing(Ring):
 
     def unit_inverse(self, a):
         return inverse_mod(a, self.n)
+
+    def lift(self):
+        return INTEGERS, self.canonicalize
 
     def nilpotent_index(self, a):
         # if a is nilpotent mod N its index is at most max_p v_p(N) <= bitlength
@@ -506,6 +528,12 @@ class PolyRing(Ring):
 
     def coefficients(self, a):
         return [c for _, c in a]
+
+    def lift(self):
+        """(Z/N)[x^+-1] lifts to Z[x^+-1]; over Z or Q the ring is its own lift."""
+        if isinstance(self.base, ZModRing):
+            return PolyRing(INTEGERS, self.variables, self.inverted), self.canonicalize
+        return self, _same
 
     # units of R[x^±]: over a domain base a unit monomial in the inverted
     # variables; over Z/N decided prime power by prime power and Hensel lifted
@@ -736,6 +764,14 @@ class QuotientRing(Ring):
 
     def exact_div_int(self, a, n):
         return self.reduce(self.poly.exact_div_int(a, n))
+
+    def lift(self):
+        """(Z/N)[t]/(g) lifts to Z[t]/(g) with g read over Z, still monic;
+        over Z or Q the ring is its own lift."""
+        S, _ = self.poly.lift()
+        if S is self.poly:
+            return self, _same
+        return QuotientRing(S, self.relation), self.canonicalize
 
     def _dense(self, a):
         out = [self.poly.base.zero()] * max(self.degree, 1)

@@ -37,11 +37,6 @@ class IntPoly:
         exps = tuple(power if j == i else 0 for j in range(nvars))
         return cls(nvars, {exps: coeff})
 
-    def copy(self):
-        p = IntPoly(self.nvars)
-        p.terms = dict(self.terms)
-        return p
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -118,11 +113,6 @@ class IntPoly:
             out[e] = q
         p = IntPoly(self.nvars)
         p.terms = out
-        return p
-
-    def reduce_mod(self, n: int) -> "IntPoly":
-        p = IntPoly(self.nvars)
-        p.terms = {e: c % n for e, c in self.terms.items() if c % n}
         return p
 
     def frobenius_substitute(self, p: int) -> "IntPoly":

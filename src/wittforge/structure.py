@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from .indexset import IndexSet
 from .numutil import factorize, is_prime
 from .rings import Ring
-from .universal import get_universal
 from .witt import (
     WittError,
     WittVector,
@@ -221,14 +220,15 @@ def local_decompose(a: WittVector, ctx: LocalContext) -> DecomposedWitt:
 def local_recompose(d: DecomposedWitt, ctx: LocalContext) -> WittVector:
     """Two-sided inverse of local_decompose.
 
-    Coordinates are recovered in increasing order: the Frobenius coordinate
-    polynomial (F_n a)_{p^j} equals n * a_{n p^j} plus terms in lower
-    coordinates, and n is invertible by the context certificate.
+    Coordinates are recovered in increasing order: for m = n p^j with n prime
+    to p, the Frobenius coordinate (F_n a)_{p^j} equals n * a_m plus terms in
+    lower coordinates, and n is invertible by the context certificate.  The
+    lower terms are F_n of the partial vector, whose coordinates from m on
+    are still zero.
     """
     E, ring = ctx.index_set, ctx.ring
-    Ep = ctx.e_typical()
-    coords: dict = {}
-    for m in E:
+    coords = [ring.zero()] * len(E)
+    for i, m in enumerate(E):
         n = m
         pj = 1
         if ctx.p is not None:
@@ -236,12 +236,10 @@ def local_recompose(d: DecomposedWitt, ctx: LocalContext) -> WittVector:
                 n //= ctx.p
                 pj *= ctx.p
         target = d.factor(n).coord_raw(pj)
-        entry = get_universal(E, f"frobenius:{n}")
-        values = [coords.get(e, ring.zero()) for e in E]
-        known = entry.poly(pj).evaluate(ring, values)
+        known = frobenius(n, WittVector(E, ring, tuple(coords))).coord_raw(pj)
         residual = ring.sub(target, known)
-        coords[m] = ring.mul(ctx.integer_inverse(n), residual) if n > 1 else residual
-    return WittVector(E, ring, tuple(coords[m] for m in E))
+        coords[i] = ring.mul(ctx.integer_inverse(n), residual) if n > 1 else residual
+    return WittVector(E, ring, tuple(coords))
 
 
 # ---------------------------------------------------------------------------

@@ -1051,13 +1051,6 @@ def suite_run(name: str, seed: int, budget: Budget | None = None) -> SuiteReport
     return rep
 
 
-def run_all(seed: int, budget: Budget | None = None, names=None):
-    reports = []
-    for name in sorted(names or SUITES):
-        reports.append(suite_run(name, seed, budget))
-    return reports
-
-
 def coverage_map():
     out = {}
     for name, (module, _) in sorted(SUITES.items()):

@@ -1,9 +1,20 @@
 """E-typical Witt vectors over the supported exact rings.
 
 Coordinates are indexed directly by the members of the index set E.  All
-arithmetic evaluates cached universal polynomials, so it is valid over any
-ring; ghost components give the usual fast characterizations wherever the
-relevant integers are invertible.
+arithmetic runs through one kernel on the ghost side.  Every supported ring R
+is a quotient of a ring S without additive torsion (``Ring.lift``): Z of
+Z/N, Z[x^+-1] of (Z/N)[x^+-1], Z[t]/(g) of (Z/N)[t]/(g), and Z, Q and
+polynomial or quotient rings over them are their own lifts.  W_E is a
+functor, so W_E(S) -> W_E(R) is a ring map, and over S the ghost map is
+injective.  Hence
+
+    a o b = reduce(unghost(ghost(lift a) o ghost(lift b)))
+
+for o in {+, -, *}, and likewise negation, the Frobenius F_n (through
+g_d(F_n a) = g_{nd}(a)) and the triangular unit solve.  Unghosting over S
+divides by n exactly, checked by S.exact_div_int.  Every step is a plain
+ring operation, so there is no term cap; the universal polynomials of
+``universal`` stay an independent cross-check in the tests.
 """
 
 from __future__ import annotations
@@ -13,8 +24,16 @@ from itertools import product as iter_product
 
 from .indexset import IndexSet
 from .numutil import divisors, valuation
-from .rings import InexactDivision, Ring, RingElement, RingMismatch, UnsupportedRing
-from .universal import get_universal
+from .rings import (
+    INTEGERS,
+    InexactDivision,
+    IntegerRing,
+    Ring,
+    RingElement,
+    RingMismatch,
+    UnsupportedRing,
+    _same,
+)
 
 
 class WittError(Exception):
@@ -25,7 +44,7 @@ class DworkError(WittError):
     """An integer ghost vector is not in the image of the ghost map."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WittVector:
     index_set: IndexSet
     ring: Ring
@@ -70,7 +89,7 @@ class WittVector:
         return witt_neg(self)
 
     def __sub__(self, other):
-        return witt_add(self, witt_neg(self._match(other)))
+        return witt_sub(self, self._match(other))
 
     def __eq__(self, other):
         return (
@@ -140,47 +159,148 @@ def witt_one(E: IndexSet, ring: Ring) -> WittVector:
     return teichmuller(1, E, ring)
 
 
-def _eval_binary(op: str, a: WittVector, b: WittVector) -> WittVector:
-    entry = get_universal(a.index_set, op)
-    values = list(a.coords) + list(b.coords)
-    coords = tuple(entry.poly(n).evaluate(a.ring, values) for n in a.index_set)
-    return WittVector(a.index_set, a.ring, coords)
+# ---------------------------------------------------------------------------
+# the kernel: per-E plans, ghost and unghost over any ring
+
+
+class _Plan:
+    """What the kernel needs to know about one index set E.
+
+    lower[i] lists (j, d, n // d) for every proper divisor d = E[j] of
+    n = E[i].  chain[j] lists steps (e, f, k) that compute x^e = (x^f)^k for
+    every exponent e > 1 the coordinate at E[j] is raised to, in increasing
+    order, f being the largest exponent already at hand that divides e.
+    """
+
+    __slots__ = ("elements", "pos", "lower", "chain", "_restricted")
+
+    def __init__(self, E: IndexSet):
+        self.elements = E.elements
+        self.pos = {n: i for i, n in enumerate(E.elements)}
+        self.lower = tuple(
+            tuple((self.pos[d], d, n // d) for d in divisors(n) if d < n) for n in E.elements
+        )
+        needed = [set() for _ in E.elements]
+        for terms in self.lower:
+            for j, _, e in terms:
+                needed[j].add(e)
+        self.chain = tuple(_chain(sorted(es)) for es in needed)
+        self._restricted = {}
+
+    def restricted(self, E: IndexSet, n: int):
+        """(E|n, its plan, positions in E of n*d for d in E|n), n in E."""
+        out = self._restricted.get(n)
+        if out is None:
+            target = E.restrict(n)
+            out = (target, _plan(target), tuple(self.pos[n * d] for d in target))
+            self._restricted[n] = out
+        return out
+
+
+def _chain(exps):
+    steps, have = [], [1]
+    for e in exps:
+        f = max(h for h in have if e % h == 0)
+        steps.append((e, f, e // f))
+        have.append(e)
+    return tuple(steps)
+
+
+_PLANS: dict = {}
+
+
+def _plan(E: IndexSet) -> _Plan:
+    plan = _PLANS.get(E.elements)
+    if plan is None:
+        plan = _PLANS[E.elements] = _Plan(E)
+    return plan
+
+
+def _pow(mul, x, k):
+    """x^k for k >= 1 by repeated squaring."""
+    result = None
+    while k:
+        if k & 1:
+            result = x if result is None else mul(result, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return result
+
+
+def _powers(mul, x, chain):
+    """{e: x^e} for e = 1 and every exponent of the chain."""
+    pw = {1: x}
+    for e, f, k in chain:
+        pw[e] = _pow(mul, pw[f], k)
+    return pw
+
+
+def _ghost(plan: _Plan, ring: Ring, xs) -> list:
+    """g_n(x) = sum_{d|n} d * x_d^(n/d) for every n in E, in index order."""
+    mul, add, from_int = ring.mul, ring.add, ring.from_int
+    pows = [_powers(mul, x, chain) for x, chain in zip(xs, plan.chain)]
+    out = []
+    for n, x, terms in zip(plan.elements, xs, plan.lower):
+        total = x if n == 1 else mul(from_int(n), x)
+        for j, d, e in terms:
+            v = pows[j][e]
+            total = add(total, v if d == 1 else mul(from_int(d), v))
+        out.append(total)
+    return out
+
+
+def _unghost(plan: _Plan, ring: Ring, w) -> list:
+    """x_n = (w_n - sum_{d|n, d<n} d * x_d^(n/d)) / n, level by level.
+
+    Each division goes through ring.exact_div_int, which raises unless it is
+    exact.
+    """
+    mul, sub, from_int = ring.mul, ring.sub, ring.from_int
+    xs, pows = [], []
+    for n, acc, terms, chain in zip(plan.elements, w, plan.lower, plan.chain):
+        for j, d, e in terms:
+            v = pows[j][e]
+            acc = sub(acc, v if d == 1 else mul(from_int(d), v))
+        x = acc if n == 1 else ring.exact_div_int(acc, n)
+        xs.append(x)
+        pows.append(_powers(mul, x, chain))
+    return xs
+
+
+# ---------------------------------------------------------------------------
+# ring operations, computed over the torsion-free lift S of the ring
+
+
+def _ghostwise(op: str, *vectors: WittVector) -> WittVector:
+    """Apply the ring operation op of the lift S to the ghosts, level by level."""
+    E, ring = vectors[0].index_set, vectors[0].ring
+    plan = _plan(E)
+    S, reduce = ring.lift()
+    w = list(map(getattr(S, op), *(_ghost(plan, S, v.coords) for v in vectors)))
+    return WittVector(E, ring, tuple(map(reduce, _unghost(plan, S, w))))
 
 
 def witt_add(a: WittVector, b: WittVector) -> WittVector:
-    return _eval_binary("sum", a, b)
-
-
-def witt_mul(a: WittVector, b: WittVector) -> WittVector:
-    return _eval_binary("product", a, b)
-
-
-def witt_neg(a: WittVector) -> WittVector:
-    entry = get_universal(a.index_set, "negation")
-    coords = tuple(entry.poly(n).evaluate(a.ring, list(a.coords)) for n in a.index_set)
-    return WittVector(a.index_set, a.ring, coords)
+    return _ghostwise("add", a, b)
 
 
 def witt_sub(a: WittVector, b: WittVector) -> WittVector:
-    return witt_add(a, witt_neg(b))
+    return _ghostwise("sub", a, b)
+
+
+def witt_mul(a: WittVector, b: WittVector) -> WittVector:
+    return _ghostwise("mul", a, b)
+
+
+def witt_neg(a: WittVector) -> WittVector:
+    return _ghostwise("neg", a)
 
 
 def witt_from_int(n: int, E: IndexSet, ring: Ring) -> WittVector:
-    """Image of the integer n under Z -> W_E(R)."""
-    result = witt_zero(E, ring)
-    if n == 0:
-        return result
-    step = witt_one(E, ring)
-    if n < 0:
-        step = witt_neg(step)
-        n = -n
-    while n:
-        if n & 1:
-            result = witt_add(result, step)
-        n >>= 1
-        if n:
-            step = witt_add(step, step)
-    return result
+    """Image of the integer n under Z -> W_E(R): its ghost is (n, n, ...)."""
+    coords = _unghost(_plan(E), INTEGERS, [n] * len(E))
+    return WittVector(E, ring, tuple(ring.from_int(c) for c in coords))
 
 
 # ---------------------------------------------------------------------------
@@ -189,31 +309,13 @@ def witt_from_int(n: int, E: IndexSet, ring: Ring) -> WittVector:
 
 def ghost_raw(a: WittVector) -> dict:
     """g_n(a) = sum_{d|n} d * a_d^{n/d} as raw ring values."""
-    ring = a.ring
-    out = {}
-    powcache = {}
-    for n in a.index_set:
-        total = ring.zero()
-        for d in divisors(n):
-            key = (d, n // d)
-            if key not in powcache:
-                base = a.coord_raw(d)
-                val = ring.one()
-                for _ in range(n // d):
-                    val = ring.mul(val, base)
-                powcache[key] = val
-            total = ring.add(total, ring.mul(ring.from_int(d), powcache[key]))
-        out[n] = total
-    return out
+    E = a.index_set
+    return dict(zip(E.elements, _ghost(_plan(E), a.ring, a.coords)))
 
 
 def ghost(a: WittVector) -> dict:
     """Ghost components as RingElements, keyed by n in E."""
     return {n: a.ring.elem(v) for n, v in ghost_raw(a).items()}
-
-
-def ghost_component(a: WittVector, n: int) -> RingElement:
-    return ghost(a)[n]
 
 
 def dwork_check(w: dict, E: IndexSet) -> bool:
@@ -246,37 +348,17 @@ def unghost(w: dict, E: IndexSet, ring: Ring) -> WittVector:
     Requires every n in E invertible in the ring, or the integers together
     with a passing Dwork certificate (in which case every division is exact).
     """
-    from .rings import IntegerRing
-
-    integer_mode = isinstance(ring, IntegerRing)
-    if integer_mode:
-        raw = {n: (w[n].value if isinstance(w[n], RingElement) else w[n]) for n in E}
-        if not dwork_check(raw, E):
-            raise DworkError(f"{raw} is not integral: fails the Dwork congruences")
-    coords = {}
-    for n in E:
-        target = w[n].value if isinstance(w[n], RingElement) else w[n]
-        if isinstance(target, int):
-            target = ring.from_int(target)
-        acc = target
-        for d in divisors(n):
-            if d == n:
-                continue
-            base = coords[d]
-            val = ring.one()
-            for _ in range(n // d):
-                val = ring.mul(val, base)
-            acc = ring.sub(acc, ring.mul(ring.from_int(d), val))
-        if n == 1:
-            coords[n] = acc
-        elif integer_mode:
-            coords[n] = ring.exact_div_int(acc, n)
-        else:
-            inv = ring.int_unit_inverse(n)
-            if inv is None:
+    raw = [w[n].value if isinstance(w[n], RingElement) else w[n] for n in E]
+    if isinstance(ring, IntegerRing):
+        ints = dict(zip(E, raw))
+        if not dwork_check(ints, E):
+            raise DworkError(f"{ints} is not integral: fails the Dwork congruences")
+    else:
+        for n in E.elements[1:]:
+            if ring.int_unit_inverse(n) is None:
                 raise WittError(f"{n} is not invertible in {ring.descriptor()}")
-            coords[n] = ring.mul(acc, inv)
-    return WittVector(E, ring, tuple(coords[n] for n in E))
+        raw = [ring.from_int(v) if isinstance(v, int) else v for v in raw]
+    return WittVector(E, ring, tuple(_unghost(_plan(E), ring, raw)))
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +367,15 @@ def unghost(w: dict, E: IndexSet, ring: Ring) -> WittVector:
 
 def frobenius(n: int, a: WittVector) -> WittVector:
     """F_n : W_E -> W_{E|n}, characterized by g_d(F_n a) = g_{nd}(a)."""
-    E = a.index_set
+    E, ring = a.index_set, a.ring
     if n not in E:
         raise WittError(f"{n} is not in the index set {E}")
-    entry = get_universal(E, f"frobenius:{n}")
-    target = E.restrict(n)
-    coords = tuple(entry.poly(d).evaluate(a.ring, list(a.coords)) for d in target)
-    return WittVector(target, a.ring, coords)
+    plan = _plan(E)
+    target, target_plan, positions = plan.restricted(E, n)
+    S, reduce = ring.lift()
+    g = _ghost(plan, S, a.coords)
+    coords = _unghost(target_plan, S, [g[i] for i in positions])
+    return WittVector(target, ring, tuple(map(reduce, coords)))
 
 
 def verschiebung(n: int, a: WittVector, E: IndexSet) -> WittVector:
@@ -329,23 +413,42 @@ def map_coords(a: WittVector, ring_map, target: Ring) -> WittVector:
 def witt_solve_mul(a: WittVector, target: WittVector):
     """Solve a * b = target for b, or return None.
 
-    The product polynomial at level n is g_n(a) * b_n plus terms in lower b
-    coordinates, so the system is triangular; it is solvable exactly when
-    every ghost component of a is a unit, which in turn characterizes units
-    of W_E(R) since the ghosts are ring homomorphisms into R.
+    Coordinate n of a * b is g_n(a) * b_n plus terms in lower coordinates of
+    b, so the system is triangular; it is solvable exactly when every ghost
+    component of a is a unit, which in turn characterizes units of W_E(R)
+    since the ghosts are ring homomorphisms into R.
+
+    One pass over the lift S: with c = lift(a) * b~ and b~_n still 0, the
+    product coordinate is known_n = (g_n(a~) g'_n - sum_{d|n,d<n} d c_d^(n/d)) / n
+    where g'_n is the ghost of b~ without b_n.  Then b_n solves
+    g_n(a) b_n = target_n - known_n in R, and c_n = known_n + g_n(a~) b~_n.
     """
     E, ring = a.index_set, a.ring
-    entry = get_universal(E, "product")
-    ghosts = ghost_raw(a)
-    partial = [ring.zero()] * len(E)
-    for i, n in enumerate(E):
-        inv = ring.unit_inverse(ghosts[n])
-        if inv is None:
-            return None
-        known = entry.poly(n).evaluate(ring, list(a.coords) + partial)
-        residual = ring.sub(target.coord_raw(n), known)
-        partial[i] = ring.mul(inv, residual)
-    return WittVector(E, ring, tuple(partial))
+    plan = _plan(E)
+    S, reduce = ring.lift()
+    ga = _ghost(plan, S, a.coords)
+    invs = [ring.unit_inverse(reduce(g)) for g in ga]
+    if any(inv is None for inv in invs):
+        return None
+    mul, add, sub, from_int = S.mul, S.add, S.sub, S.from_int
+    bs, b_pows, c_pows = [], [], []
+    for n, g, inv, t, terms, chain in zip(
+        plan.elements, ga, invs, target.coords, plan.lower, plan.chain
+    ):
+        known = S.zero()
+        if terms:
+            gb = csum = S.zero()
+            for j, d, e in terms:
+                bv, cv = b_pows[j][e], c_pows[j][e]
+                if d > 1:
+                    bv, cv = mul(from_int(d), bv), mul(from_int(d), cv)
+                gb, csum = add(gb, bv), add(csum, cv)
+            known = S.exact_div_int(sub(mul(g, gb), csum), n)
+        b = ring.mul(inv, ring.sub(t, reduce(known)))
+        bs.append(b)
+        b_pows.append(_powers(mul, b, chain))
+        c_pows.append(_powers(mul, add(known, mul(g, b)), chain))
+    return WittVector(E, ring, tuple(bs))
 
 
 def witt_unit_inverse(a: WittVector):
@@ -413,7 +516,21 @@ class WittRing(Ring):
     def canonicalize(self, a):
         return tuple(self.coeff.canonicalize(c) for c in a)
 
+    def _torsion_free(self):
+        return self.coeff.lift()[0] is self.coeff
+
+    def lift(self):
+        """W_E(R) is its own lift when R is: the ghost map embeds it in R^E."""
+        if not self._torsion_free():
+            raise UnsupportedRing(f"no Witt arithmetic over {self.descriptor()}")
+        return self, _same
+
     def exact_div_int(self, a, n):
+        if self._torsion_free():
+            # the ghost map embeds W_E(R) in R^E: divide there, then unghost
+            plan = _plan(self.E)
+            ghosts = [self.coeff.exact_div_int(g, n) for g in _ghost(plan, self.coeff, a)]
+            return tuple(_unghost(plan, self.coeff, ghosts))
         inv = self.int_unit_inverse(n)
         if inv is None:
             raise InexactDivision(f"{n} is not invertible in {self.descriptor()}")

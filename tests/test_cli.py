@@ -183,21 +183,103 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["ghost"] == {"1": "1", "2": "1"}
 
 
-def test_cache_dir_env(tmp_path, capsys):
+def test_cache_dir_env(tmp_path):
     import wittforge.universal as universal
+    from wittforge.indexset import IndexSet
 
+    E = IndexSet.divisors_of(4)
     universal.clear_memory_cache()
     env_backup = os.environ.get("WITTFORGE_CACHE_DIR")
     os.environ["WITTFORGE_CACHE_DIR"] = str(tmp_path)
     try:
-        run_cli(["witt", "add", "--ring", "integers", "--index-set", "div:4", "--a", "1,0,0", "--b", "1,0,0"], capsys)
+        generated = universal.get_universal(E, "sum")
         assert any("sum" in f for f in os.listdir(tmp_path))
+        universal.clear_memory_cache()
+        reloaded = universal.get_universal(E, "sum")
+        assert reloaded is not generated
+        assert all(reloaded.poly(n) == generated.poly(n) for n in E)
     finally:
         if env_backup is None:
             del os.environ["WITTFORGE_CACHE_DIR"]
         else:
             os.environ["WITTFORGE_CACHE_DIR"] = env_backup
         universal.clear_memory_cache()
+
+
+def test_witt_beyond_the_term_cap(capsys):
+    # level 30 of the div:30 product and the upper ptyp:2:12 sum levels are
+    # only certified as universal polynomials; the kernel computes them all
+    a30, b30 = "5,7,2,11,3,0,9,4", "1,6,10,8,0,3,5,7"
+    code, out, _ = run_cli(
+        ["witt", "mul", "--ring", "zmod:12", "--index-set", "div:30", "--a", a30, "--b", b30],
+        capsys,
+    )
+    assert code == 0
+    full = json.loads(out)["coords"]
+    assert len(full) == 8
+    # restriction to div:6 is a ring map
+    code, out, _ = run_cli(
+        ["witt", "mul", "--ring", "zmod:12", "--index-set", "div:6",
+         "--a", "5,7,2,3", "--b", "1,6,10,0"],
+        capsys,
+    )
+    assert code == 0 and json.loads(out)["coords"] == {n: full[n] for n in ("1", "2", "3", "6")}
+
+    a, b = ",".join(str(i % 12) for i in range(13)), ",".join(str(7 * i % 12) for i in range(13))
+    code, out, _ = run_cli(
+        ["witt", "add", "--ring", "zmod:12", "--index-set", "ptyp:2:12", "--a", a, "--b", b],
+        capsys,
+    )
+    assert code == 0
+    full = json.loads(out)["coords"]
+    assert len(full) == 13
+    code, out, _ = run_cli(
+        ["witt", "add", "--ring", "zmod:12", "--index-set", "ptyp:2:3",
+         "--a", "0,1,2,3", "--b", "0,7,2,9"],
+        capsys,
+    )
+    assert code == 0 and json.loads(out)["coords"] == {n: full[n] for n in ("1", "2", "4", "8")}
+
+
+def test_generation_error_exit_code(capsys, monkeypatch):
+    import wittforge.cli as cli
+    from wittforge.universal import NotMaterialized
+
+    def refuse(a, b):
+        raise NotMaterialized("not expanded")
+
+    monkeypatch.setattr(cli, "witt_add", refuse)
+    code, out, err = run_cli(
+        ["witt", "add", "--ring", "integers", "--index-set", "div:2", "--a", "1,0", "--b", "1,0"],
+        capsys,
+    )
+    assert code == 2 and out == "" and err == "error: not expanded\n"
+
+
+def test_prismatic_error_exit_code(capsys):
+    code, out, err = run_cli(
+        ["prismatic", "--ring", "zmod:4", "--index-set", "set:1", "--xi", "3", "--p", "2",
+         "--gens", "x", "--relations", "1*x^2"],
+        capsys,
+    )
+    assert code == 2 and out == "" and err == "error: W{1}(3) is not distinguished\n"
+
+
+def test_cone_error_exit_code(capsys, monkeypatch):
+    import wittforge.cli as cli
+    from wittforge.cone import ConeError
+
+    def refuse(q):
+        raise ConeError("unknown module flavor")
+
+    monkeypatch.setattr(cli, "quasi_ideal_check", refuse)
+    code, out, err = run_cli(["cone", "--base", "integers", "--d", "2"], capsys)
+    assert code == 2 and out == "" and err == "error: unknown module flavor\n"
+
+
+def test_derham_error_exit_code(capsys):
+    code, out, err = run_cli(["derham", "--torus", "-1", "--affine", "0"], capsys)
+    assert code == 2 and out == "" and err == "error: ranks must be nonnegative\n"
 
 
 def test_module_invocation_subprocess():

@@ -3,7 +3,14 @@ import random
 import pytest
 
 from wittforge.indexset import IndexSet
-from wittforge.rings import INTEGERS, RATIONALS, RingMismatch, make_ring
+from wittforge.rings import (
+    INTEGERS,
+    RATIONALS,
+    InexactDivision,
+    RingMismatch,
+    UnsupportedRing,
+    make_ring,
+)
 from wittforge.witt import (
     DworkError,
     WittError,
@@ -176,6 +183,21 @@ def test_witt_ring_wrapper():
     assert W.unit_inverse(W.from_int(3)) is not None
     assert len(list(W.elements())) == 16
     assert W.el_from_str(W.el_to_str(W.from_int(3))) == W.from_int(3)
+
+
+def test_witt_vectors_of_witt_vectors():
+    # W_E(Z) has no additive torsion, so it is its own lift
+    WZ = WittRing(E2, INTEGERS)
+    assert WZ.exact_div_int(WZ.from_int(4), 2) == WZ.from_int(2)
+    with pytest.raises(InexactDivision):
+        WZ.exact_div_int(WZ.from_int(1), 2)
+    a = make_witt(E2, WZ, ["(1,0)", "(0,1)"])
+    assert (a + a).coords == (WZ.from_int(2), WZ.add(WZ.el_from_str("(0,2)"), WZ.neg(WZ.one())))
+    assert a * witt_one(E2, WZ) == a
+    # W_E(Z/4) is not: Witt arithmetic over it is refused
+    W4 = WittRing(E2, make_ring("zmod:4"))
+    with pytest.raises(UnsupportedRing):
+        make_witt(E2, W4, ["(1,0)", "(0,0)"]) + make_witt(E2, W4, ["(1,0)", "(0,0)"])
 
 
 def test_enumeration():
