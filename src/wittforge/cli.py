@@ -177,7 +177,18 @@ def cmd_cone(args):
     from .cone import FreeModule, quasi_ideal_from_json
 
     if args.json:
-        q = quasi_ideal_from_json(json.loads(args.json))
+        try:
+            obj = json.loads(args.json)
+        except json.JSONDecodeError as e:
+            raise UsageError(f"--json is not valid JSON: {e}") from None
+        if not (
+            isinstance(obj, dict)
+            and isinstance(obj.get("base"), str)
+            and isinstance(obj.get("d"), list)
+            and all(isinstance(v, str) for v in obj["d"])
+        ):
+            raise UsageError('--json needs an object with a string "base" and string list "d"')
+        q = quasi_ideal_from_json(obj)
         ring = q.ring
     else:
         if not args.base or not args.d:
@@ -188,7 +199,7 @@ def cmd_cone(args):
     ok, witness = quasi_ideal_check(q)
     out = {"quasi_ideal_law": ok}
     if not ok:
-        out["witness"] = [repr(w) for w in witness]
+        out["witness"] = [[ring.el_to_str(c) for c in w] for w in witness]
     if ok:
         try:
             p0 = cone_pi0(q)
@@ -216,7 +227,10 @@ def cmd_rees(args):
     if args.line is not None:
         M = filtered_line(args.line)
     elif args.step:
-        dims = [int(x) for x in args.step.split(",")]
+        try:
+            dims = [int(x) for x in args.step.split(",")]
+        except ValueError:
+            raise UsageError(f"--step needs comma separated integers, not {args.step!r}") from None
         if any(d2 > d1 for d1, d2 in zip(dims, dims[1:])):
             raise UsageError("step dimensions must be decreasing")
         ambient = dims[0]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
+from math import gcd
 
 from .rings import (
     IntegerRing,
@@ -123,17 +124,7 @@ class IdealModule(Module):
     def elements(self):
         if self.ring.size() is None:
             raise UnsupportedRing("ideal enumeration needs a finite ring")
-        seen = {self.ring.zero()}
-        frontier = [self.ring.zero()]
-        while frontier:
-            x = frontier.pop()
-            for g in self._gens:
-                for r in self.ring.elements():
-                    y = self.ring.add(x, self.ring.mul(r, g))
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-        return iter(sorted(seen, key=repr))
+        return iter(sorted(_ideal(self.ring, self._gens), key=repr))
 
     def size(self):
         if self.ring.size() is None:
@@ -169,6 +160,21 @@ class QuasiIdeal:
     def from_ideal(cls, ring: Ring, generators) -> "QuasiIdeal":
         mod = IdealModule(ring, generators)
         return cls(ring, mod, mod.generators())
+
+
+def _ideal(ring: Ring, gens) -> frozenset:
+    """The ideal of a finite ring generated by gens."""
+    seen = {ring.zero()}
+    frontier = [ring.zero()]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            for r in ring.elements():
+                y = ring.add(x, ring.mul(r, g))
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+    return frozenset(seen)
 
 
 def _raw(ring: Ring, v):
@@ -283,29 +289,12 @@ class Pi0:
         raise ConeError("value outside the enumerated ring")
 
 
-def _image_of_d(q: QuasiIdeal):
-    ring = q.ring
-    if ring.size() is None:
-        raise UnsupportedRing("image enumeration needs a finite ring")
-    # the image of d is the ideal generated by the d-values of the generators
-    gens = [q.d(g) for g in q.module.generators()]
-    seen = {ring.zero()}
-    frontier = [ring.zero()]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            for r in ring.elements():
-                y = ring.add(x, ring.mul(r, g))
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-    return frozenset(seen)
-
-
 def cone_pi0(q: QuasiIdeal) -> Pi0:
     ring = q.ring
+    # the image of d is the ideal generated by the d-values of the generators
+    dvals = [q.d(g) for g in q.module.generators()]
     if ring.size() is not None:
-        image = _image_of_d(q)
+        image = _ideal(ring, dvals)
         classes = []
         covered = set()
         for r in ring.elements():
@@ -314,20 +303,16 @@ def cone_pi0(q: QuasiIdeal) -> Pi0:
             classes.append(r)
             covered.update(ring.add(r, x) for x in image)
         return Pi0("cosets", ring, image=image, classes=classes)
-    dvals = [q.d(g) for g in q.module.generators()]
     if isinstance(ring, IntegerRing):
-        from math import gcd
-
-        g = 0
-        for v in dvals:
-            g = gcd(g, v)
+        g = gcd(*dvals)
         if g == 0:
             return Pi0("ring", ring, quotient_ring=ring)
         if g == 1:
             return Pi0("ring", ring, quotient_ring=_zero_ring())
         return Pi0("ring", ring, quotient_ring=ZModRing(g))
     if isinstance(ring, QuotientRing) and isinstance(ring.poly.base, RationalRing):
-        return Pi0("ring", ring, quotient_ring=_univariate_quotient(ring, dvals))
+        quotient = ring.quotient_by(dvals)
+        return Pi0("ring", ring, quotient_ring=_zero_ring() if quotient.degree == 0 else quotient)
     if isinstance(ring, RationalRing):
         nonzero = any(v != ring.zero() for v in dvals)
         return Pi0("ring", ring, quotient_ring=_zero_ring() if nonzero else ring)
@@ -337,47 +322,6 @@ def cone_pi0(q: QuasiIdeal) -> Pi0:
 def _zero_ring():
     p = PolyRing(RationalRing(), ("t",))
     return QuotientRing(p, p.one())
-
-
-def _univariate_quotient(ring: QuotientRing, dvals):
-    """k[t]/(g) modulo an ideal: gcd of the relation with the d-values."""
-    base = ring.poly
-
-    def to_dense(v):
-        out = [base.base.zero()] * (ring.degree + 1)
-        for (e,), c in v:
-            out[e] = c
-        return out
-
-    def deg(v):
-        for i in range(len(v) - 1, -1, -1):
-            if v[i] != base.base.zero():
-                return i
-        return -1
-
-    def polymod(a, b):
-        db = deg(b)
-        lcinv = base.base.unit_inverse(b[db])
-        a = list(a)
-        while deg(a) >= db:
-            da = deg(a)
-            c = base.base.mul(a[da], lcinv)
-            for i in range(db + 1):
-                a[i + da - db] = base.base.sub(a[i + da - db], base.base.mul(c, b[i]))
-        return a
-
-    g = to_dense(ring.relation)
-    g[ring.degree] = base.base.one()
-    for v in dvals:
-        v = to_dense(v)
-        while deg(v) >= 0:
-            g, v = v, polymod(g, v)
-    dg = deg(g)
-    if dg <= 0:
-        return _zero_ring()
-    lcinv = base.base.unit_inverse(g[dg])
-    rel = base.canonicalize(tuple(((i,), base.base.mul(c, lcinv)) for i, c in enumerate(g[: dg + 1])))
-    return QuotientRing(base, rel)
 
 
 def cone_hom_set(q: QuasiIdeal, r1, r2, cap: int = 10**6):
@@ -396,11 +340,7 @@ def cone_hom_set(q: QuasiIdeal, r1, r2, cap: int = 10**6):
     if isinstance(q.module, IdealModule):
         # d is the inclusion: the hom set is {target} when target lies in the ideal
         if isinstance(ring, IntegerRing):
-            from math import gcd
-
-            g = 0
-            for v in q.module.generators():
-                g = gcd(g, v)
+            g = gcd(*q.module.generators())
             member = target == 0 if g == 0 else target % g == 0
             return [target] if member else []
         if isinstance(ring, RationalRing):

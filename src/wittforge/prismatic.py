@@ -179,10 +179,6 @@ def wbar_ring(ctx: PrismaticContext, n_level: int = 2) -> WbarModel:
 # J(X) points: homomorphisms into the Witt vectors themselves
 
 
-def _eval_relation(poly: IntPoly, wring: WittRing, values):
-    return poly.evaluate(wring, values)
-
-
 def witt_points(B: AffinePresentation, E: IndexSet, ring: Ring, cap: int = DEFAULT_POINT_CAP):
     """All ring maps B -> W_E(R), by enumeration and relation filtering."""
     g = len(B.generators)
@@ -195,7 +191,7 @@ def witt_points(B: AffinePresentation, E: IndexSet, ring: Ring, cap: int = DEFAU
     out = []
     space = [v.coords for v in witt_space(E, ring)]
     for combo in iter_product(space, repeat=g):
-        if all(_eval_relation(f, wring, list(combo)) == zero for f in rels):
+        if all(f.evaluate(wring, list(combo)) == zero for f in rels):
             out.append(tuple(WittVector(E, ring, c) for c in combo))
     return out
 

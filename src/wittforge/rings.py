@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .numutil import factorize, inverse_mod, crt_pair
+from .numutil import crt_pair, factorize, inverse_mod, is_prime
 
 
 class RingError(Exception):
@@ -324,7 +324,10 @@ class RationalRing(Ring):
         s = s.strip()
         if not _FRAC_RE.match(s):
             raise ParseError(f"bad rational literal {s!r}")
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in {s!r}") from None
 
 
 class ZModRing(Ring):
@@ -399,6 +402,92 @@ class ZModRing(Ring):
         if not _INT_RE.match(s):
             raise ParseError(f"bad residue literal {s!r}")
         return int(s) % self.n
+
+
+# ---------------------------------------------------------------------------
+# dense univariate polynomials over a base ring: coefficient lists, lowest
+# degree first, with no trailing zero (the zero polynomial is [])
+
+
+def _dense(base, a):
+    """Dense form of a canonical univariate raw value (terms sorted by degree)."""
+    out = [base.zero()] * (a[-1][0][0] + 1) if a else []
+    for (e,), c in a:
+        out[e] = c
+    return out
+
+
+def _sparse(base, v):
+    zero = base.zero()
+    return tuple(((i,), c) for i, c in enumerate(v) if c != zero)
+
+
+def _trim(base, v):
+    zero = base.zero()
+    while v and v[-1] == zero:
+        v.pop()
+    return v
+
+
+def _monic_divmod(base, a, g):
+    """(q, r) with a = q*g + r and deg r < deg g, for a monic g."""
+    zero, sub, mul = base.zero(), base.sub, base.mul
+    d = len(g) - 1
+    low = [(i, x) for i, x in enumerate(g[:d]) if x != zero]
+    r = list(a)
+    q = [zero] * max(len(r) - d, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = r.pop()
+        if c != zero:
+            q[k] = c
+            for i, x in low:
+                r[k + i] = sub(r[k + i], mul(c, x))
+    return _trim(base, q), _trim(base, r)
+
+
+def _gcd_cofactor(base, a, b):
+    """Extended Euclid over a field: the monic gcd g of a and b, and s with
+    s*b = g modulo a.  a must be monic."""
+    zero = base.zero()
+    # invariant: s_i * b = r_i modulo a
+    r0, s0, r1, s1 = a, [], b, [base.one()]
+    while r1:
+        inv = base.unit_inverse(r1[-1])
+        r1 = [base.mul(c, inv) for c in r1]
+        s1 = [base.mul(c, inv) for c in s1]
+        q, r = _monic_divmod(base, r0, r1)
+        s = s0 + [zero] * (len(q) + len(s1) - 1 - len(s0))
+        for i, x in enumerate(q):
+            for j, y in enumerate(s1):
+                s[i + j] = base.sub(s[i + j], base.mul(x, y))
+        r0, s0, r1, s1 = r1, s1, r, _trim(base, s)
+    return r0, s0
+
+
+def _zmod_inverse(ring, a, n):
+    """Inverse of a in a polynomial or quotient ring over Z/n, or None.
+
+    a is inverted over Z/p for each prime p | n, lifted to Z/p^r by the
+    Newton step g <- g(2 - a g), which doubles the precision, and the pieces
+    are glued coefficient by coefficient by CRT.
+    """
+    coeffs, mod = {}, 1
+    for p, r in factorize(n).items():
+        ring_m = ring._with_modulus(p)
+        g = ring_m.unit_inverse(ring_m.canonicalize(a))
+        if g is None:
+            return None
+        m = p
+        while m < p**r:
+            m = min(m * m, p**r)
+            ring_m = ring._with_modulus(m)
+            g = ring_m.mul(g, ring_m.sub(ring_m.from_int(2), ring_m.mul(ring_m.canonicalize(a), g)))
+        g = dict(g)
+        for e in coeffs.keys() | g.keys():
+            coeffs[e] = crt_pair(coeffs.get(e, 0), mod, g.get(e, 0), p**r)
+        mod *= p**r
+    inv = ring.canonicalize(tuple(coeffs.items()))
+    return inv if ring.mul(a, inv) == ring.one() else None
 
 
 # ---------------------------------------------------------------------------
@@ -526,78 +615,30 @@ class PolyRing(Ring):
     def exact_div_int(self, a, n):
         return tuple((exps, self.base.exact_div_int(c, n)) for exps, c in a)
 
-    def coefficients(self, a):
-        return [c for _, c in a]
-
     def lift(self):
         """(Z/N)[x^+-1] lifts to Z[x^+-1]; over Z or Q the ring is its own lift."""
         if isinstance(self.base, ZModRing):
             return PolyRing(INTEGERS, self.variables, self.inverted), self.canonicalize
         return self, _same
 
+    def _with_modulus(self, m):
+        return PolyRing(ZModRing(m), self.variables, self.inverted)
+
     # units of R[x^±]: over a domain base a unit monomial in the inverted
-    # variables; over Z/N decided prime power by prime power and Hensel lifted
+    # variables; over Z/N with N not prime decided prime by prime and lifted
     def unit_inverse(self, a):
-        if isinstance(self.base, (IntegerRing, RationalRing)):
-            if len(a) != 1:
-                return None
-            exps, c = a[0]
-            for e, inv in zip(exps, self._inv_mask):
-                if e != 0 and not inv:
-                    return None
-            cinv = self.base.unit_inverse(c)
-            if cinv is None:
-                return None
-            return self.monomial(tuple(-e for e in exps), cinv)
-        return self._zmod_unit_inverse(a)
-
-    def _map_modulus(self, a, m):
-        """Reduce coefficients of a into the same poly ring with base Z/m."""
-        ring_m = PolyRing(ZModRing(m), self.variables, self.inverted)
-        return ring_m, ring_m.canonicalize(tuple((e, c % m) for e, c in a))
-
-    def _zmod_unit_inverse(self, a):
-        n = self.base.n
-        parts = []
-        for p, r in factorize(n).items():
-            # over Z/p the reduction must be a single unit monomial
-            ring_p, a_p = self._map_modulus(a, p)
-            if len(a_p) != 1:
-                return None
-            exps, c = a_p[0]
-            for e, inv in zip(exps, self._inv_mask):
-                if e != 0 and not inv:
-                    return None
-            cinv = inverse_mod(c, p)
-            if cinv is None:
-                return None
-            inv_p = ring_p.monomial(tuple(-e for e in exps), cinv)
-            # Hensel: g -> g(2 - f g) doubles the precision
-            mod = p
-            ring_m, g = ring_p, inv_p
-            while mod < p**r:
-                mod = min(mod * mod, p**r)
-                ring_m, f_m = self._map_modulus(a, mod)
-                g = ring_m.canonicalize(tuple((e, c % mod) for e, c in g))
-                two = ring_m.from_int(2)
-                g = ring_m.mul(g, ring_m.sub(two, ring_m.mul(f_m, g)))
-            parts.append((p**r, g))
-        # CRT on coefficients
-        total_exps = set()
-        for _, g in parts:
-            total_exps.update(e for e, _ in g)
-        acc = {}
-        for exps in total_exps:
-            val, mod = 0, 1
-            for pk, g in parts:
-                coeff = dict(g).get(exps, 0)
-                val = crt_pair(val, mod, coeff, pk) if mod > 1 else coeff
-                mod *= pk
-            acc[exps] = val % n
-        inv = self._from_dict(acc)
-        if self.mul(a, inv) != self.one():
+        if isinstance(self.base, ZModRing) and not is_prime(self.base.n):
+            return _zmod_inverse(self, a, self.base.n)
+        if len(a) != 1:
             return None
-        return inv
+        exps, c = a[0]
+        for e, inv in zip(exps, self._inv_mask):
+            if e != 0 and not inv:
+                return None
+        cinv = self.base.unit_inverse(c)
+        if cinv is None:
+            return None
+        return self.monomial(tuple(-e for e in exps), cinv)
 
     def nilpotent_index(self, a):
         if not a:
@@ -716,30 +757,17 @@ class QuotientRing(Ring):
             )
         self.relation = relation
         self.degree = deg
+        self._g = _dense(poly.base, relation)  # the relation, dense
 
     def descriptor(self):
         return f"quot({self.poly.descriptor()}; {self.poly.el_to_str(self.relation)})"
 
     def reduce(self, a):
-        # monic division: substitute t^d = -(lower terms of the relation)
-        p = self.poly
-        base = p.base
-        d = self.degree
-        if d == 0:
-            return ()
-        acc = {e[0]: c for e, c in a}
-        while True:
-            top = max((e for e, c in acc.items() if c != base.zero()), default=-1)
-            if top < d:
-                break
-            c = acc.pop(top)
-            shift = top - d
-            for (e,), rc in self.relation:
-                if e == d:
-                    continue
-                key = e + shift
-                acc[key] = base.sub(acc.get(key, base.zero()), base.mul(c, rc))
-        return p._from_dict({(e,): c for e, c in acc.items()})
+        """Remainder of a canonical polynomial value on division by the relation."""
+        if not a or a[-1][0][0] < self.degree:
+            return a
+        base = self.poly.base
+        return _sparse(base, _monic_divmod(base, _dense(base, a), self._g)[1])
 
     def canonicalize(self, a):
         return self.reduce(self.poly.canonicalize(a))
@@ -773,112 +801,37 @@ class QuotientRing(Ring):
             return self, _same
         return QuotientRing(S, self.relation), self.canonicalize
 
-    def _dense(self, a):
-        out = [self.poly.base.zero()] * max(self.degree, 1)
-        for (e,), c in a:
-            out[e] = c
-        return out
+    def _with_modulus(self, m):
+        return QuotientRing(self.poly._with_modulus(m), self.relation)
 
     def unit_inverse(self, a):
-        if self.degree == 0:
-            return ()  # the zero ring: 0 = 1 is its own inverse
         base = self.poly.base
-        if isinstance(base, RationalRing):
-            return self._field_inverse(a)
-        if isinstance(base, ZModRing):
-            from .numutil import is_prime
-
-            if is_prime(base.n):
-                return self._field_inverse(a)
-            return self._zmod_inverse(a)
+        if isinstance(base, ZModRing) and not is_prime(base.n):
+            return _zmod_inverse(self, a, base.n)
         if isinstance(base, IntegerRing):
             # a is a unit over Z iff its rational inverse has integer coefficients
             qring = QuotientRing(
                 PolyRing(RATIONALS, self.poly.variables),
                 tuple((e, Fraction(c)) for e, c in self.relation),
             )
-            qinv = qring._field_inverse(tuple((e, Fraction(c)) for e, c in a))
+            qinv = qring.unit_inverse(tuple((e, Fraction(c)) for e, c in a))
             if qinv is None or any(c.denominator != 1 for _, c in qinv):
                 return None
             return self.canonicalize(tuple((e, int(c)) for e, c in qinv))
-        return None
-
-    def _field_inverse(self, a):
-        """Extended Euclid in k[t] for a field base k."""
-        base = self.poly.base
-        zero = base.zero()
-
-        def deg(v):
-            for i in range(len(v) - 1, -1, -1):
-                if v[i] != zero:
-                    return i
-            return -1
-
-        def subshift(v, w, c, k):
-            out = list(v) + [zero] * max(0, len(w) + k - len(v))
-            for i, x in enumerate(w):
-                out[i + k] = base.sub(out[i + k], base.mul(c, x))
-            return out
-
-        def reduce_by(r0, s0, r1, s1):
-            d1 = deg(r1)
-            lcinv = base.unit_inverse(r1[d1])
-            while deg(r0) >= d1:
-                d0 = deg(r0)
-                c = base.mul(r0[d0], lcinv)
-                r0 = subshift(r0, r1, c, d0 - d1)
-                s0 = subshift(s0, s1, c, d0 - d1)
-            return r0, s0
-
-        # invariant: s * a = r modulo the relation
-        r0 = [dict(self.relation).get((i,), zero) for i in range(self.degree + 1)]
-        s0 = [zero]
-        r1 = self._dense(a)
-        s1 = [base.one()]
-        while deg(r1) >= 0:
-            r0, s0 = reduce_by(r0, s0, r1, s1)
-            r0, s0, r1, s1 = r1, s1, r0, s0
-        if deg(r0) != 0:
+        # over a field a is a unit iff gcd(g, a) = 1, and then s = a^-1
+        g, s = _gcd_cofactor(base, self._g, _dense(base, a))
+        if len(g) != 1:
             return None
-        cinv = base.unit_inverse(r0[0])
-        inv = self.canonicalize(tuple(((i,), base.mul(c, cinv)) for i, c in enumerate(s0)))
+        inv = self.reduce(_sparse(base, s))
         return inv if self.mul(a, inv) == self.one() else None
 
-    def _zmod_inverse(self, a):
-        n = self.poly.base.n
-        parts = []
-        for p, r in factorize(n).items():
-            ring_p = QuotientRing(
-                PolyRing(ZModRing(p), self.poly.variables),
-                tuple((e, c % p) for e, c in self.relation),
-            )
-            inv_p = ring_p._field_inverse(ring_p.canonicalize(tuple((e, c % p) for e, c in a)))
-            if inv_p is None:
-                return None
-            mod, g, ring_m = p, inv_p, ring_p
-            while mod < p**r:
-                mod = min(mod * mod, p**r)
-                ring_m = QuotientRing(
-                    PolyRing(ZModRing(mod), self.poly.variables),
-                    tuple((e, c % mod) for e, c in self.relation),
-                )
-                f_m = ring_m.canonicalize(tuple((e, c % mod) for e, c in a))
-                g = ring_m.canonicalize(tuple((e, c % mod) for e, c in g))
-                g = ring_m.mul(g, ring_m.sub(ring_m.from_int(2), ring_m.mul(f_m, g)))
-            parts.append((p**r, g))
-        acc = {}
-        exps = set()
-        for _, g in parts:
-            exps.update(e for e, _ in g)
-        for e in exps:
-            val, mod = 0, 1
-            for pk, g in parts:
-                coeff = dict(g).get(e, 0)
-                val = crt_pair(val, mod, coeff, pk) if mod > 1 else coeff
-                mod *= pk
-            acc[e] = val % n
-        inv = self.canonicalize(tuple(acc.items()))
-        return inv if self.mul(a, inv) == self.one() else None
+    def quotient_by(self, values):
+        """This ring modulo the ideal of values, k[t]/(gcd(g, values)), for a field k."""
+        base = self.poly.base
+        g = self._g
+        for v in values:
+            g, _ = _gcd_cofactor(base, g, _dense(base, v))
+        return QuotientRing(self.poly, _sparse(base, g))
 
     def nilpotent_index(self, a):
         if a == self.zero():
@@ -929,7 +882,13 @@ class QuotientRing(Ring):
         return self.poly.el_to_str(a)
 
     def el_from_str(self, s):
-        return self.reduce(self.poly.el_from_str(s))
+        # t^e by repeated squaring: a literal's exponent is unbounded, and one
+        # division would hold a dense slot for every degree below it
+        t = self.elem(self.variable(self.poly.variables[0]))
+        out = self.elem(self.zero())
+        for (e,), c in self.poly.el_from_str(s):
+            out = out + t**e * self.elem(self.reduce(self.poly.constant(c)))
+        return out.value
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from .indexset import IndexSet
 from .numutil import divisors, factorize
-from .rings import InexactDivision
+from .rings import INTEGERS, InexactDivision
 from .sparsepoly import IntPoly
 
 CACHE_ENV = "WITTFORGE_CACHE_DIR"
@@ -282,31 +282,10 @@ def _random_eval_check(E, op, n, poly_n, lower, rng):
         for d in divisors(n):
             if d in lower or d == n:
                 pd = poly_n if d == n else lower[d]
-                lhs += d * pd.evaluate(_Z, vals) ** (n // d)
-        rhs = _ghost_target(E, op, n).evaluate(_Z, vals)
+                lhs += d * pd.evaluate(INTEGERS, vals) ** (n // d)
+        rhs = _ghost_target(E, op, n).evaluate(INTEGERS, vals)
         if lhs != rhs:
             raise GenerationError(f"ghost identity violated at level {n} of {op}")
-
-
-class _ZOps:
-    # minimal ring adapter so IntPoly.evaluate can run over plain ints
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def from_int(self, n):
-        return n
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-
-_Z = _ZOps()
 
 
 def generate_universal_polynomials(

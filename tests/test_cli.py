@@ -307,3 +307,31 @@ def test_bad_index_set_exit_code(capsys):
         ["ghost", "--ring", "integers", "--index-set", "div:0", "--a", "1"], capsys
     )
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witt", "add", "--ring", "rationals", "--index-set", "div:2",
+         "--a", "1/0,1", "--b", "1,1"],
+        ["witt", "add", "--ring", "poly(rationals; x)", "--index-set", "div:2",
+         "--a", "1/0*x,1", "--b", "1,1"],
+        ["cone", "--json", "nope"],
+        ["cone", "--json", "[1]"],
+        ["cone", "--json", '{"base":5,"d":["1"]}'],
+        ["cone", "--json", '{"base":"integers","d":[1]}'],
+        ["rees", "--step", "3,x"],
+    ],
+)
+def test_malformed_input_exit_code(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cone_witness_output(capsys):
+    code, out, _ = run_cli(
+        ["cone", "--base", "quot(poly(rationals;t);1*t^2)", "--d", "1*t,0"], capsys
+    )
+    assert code == 1
+    assert json.loads(out) == {"quasi_ideal_law": False, "witness": [["1", "0"], ["0", "1"]]}

@@ -131,3 +131,21 @@ def test_quasi_ideal_json():
     assert q2.d_gens == q.d_gens and q2.ring == q.ring
     with pytest.raises(UnsupportedRing):
         quasi_ideal_from_json({"base": "integers", "generators": 1, "relations": [[1]], "d": ["2"]})
+
+
+def test_pi0_univariate_rational_quotients():
+    r = make_ring("quot(poly(rationals; t); 1*t^3)")
+
+    def pi0(q):
+        return cone_pi0(q).quotient_ring.descriptor()
+
+    assert pi0(QuasiIdeal.rank_one(r, r("1*t").value)) == "quot(poly(rationals; t); 1*t)"
+    assert pi0(QuasiIdeal.rank_one(r, 0)) == "quot(poly(rationals; t); 1*t^3)"
+    assert pi0(QuasiIdeal.rank_one(r, r("1+1*t").value)) == "quot(poly(rationals; t); 1)"
+    # (t-1)(t-2)(t+1): the ideal of (t-1)(t-2) and (t-1)(t+1) is (t-1)
+    s = make_ring("quot(poly(rationals; t); 1*t^3+-2*t^2+-1*t+2)")
+    q = QuasiIdeal.from_ideal(s, [s("1*t^2+-3*t+2").value, s("1*t^2+-1").value])
+    assert pi0(q) == "quot(poly(rationals; t); -1+1*t)"
+    # a unit d kills everything; the zero ring keeps its fixed descriptor
+    u = make_ring("quot(poly(rationals; u); 1*u^2+1)")
+    assert pi0(QuasiIdeal.rank_one(u, u("1+1*u").value)) == "quot(poly(rationals; t); 1)"

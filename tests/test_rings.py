@@ -150,3 +150,57 @@ def test_canonical_sorting():
     s = r.el_to_str(r.el_from_str("3+1*x^2+2*x*y+1*x"))
     # ascending total degree, then lexicographic exponent order
     assert s.index("3") < s.index("x^2")
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        "quot(poly(zmod:6; t); 1*t^2+1*t+5)",
+        "quot(poly(zmod:12; t); 1*t^2+1)",
+        "quot(poly(zmod:9; t); 1*t^2+3*t+3)",
+        "quot(poly(zmod:5; t); 2*t^2+1)",  # not monic: normalized by the unit 2
+    ],
+)
+def test_quotient_unit_inverse_brute_force(desc):
+    q = make_ring(desc)
+    elements = list(q.elements())
+    one = q.one()
+    for a in elements:
+        expected = next((b for b in elements if q.mul(a, b) == one), None)
+        assert q.unit_inverse(a) == expected, q.el_to_str(a)
+
+
+def test_laurent_units_over_zmod():
+    rng = random.Random(11)
+    # 2 is nilpotent in Z/8, so 1 + 2f is a unit with inverse 1 - 2f + 4f^2
+    # (two Newton steps lift the inverse from Z/2 to Z/8)
+    r8 = make_ring("poly(zmod:8; x; inv x)")
+    for _ in range(30):
+        f = r8.elem(r8.random(rng))
+        a = 1 + 2 * f
+        ok, inv = elem_is_unit(a)
+        assert ok and inv == 1 - 2 * f + 4 * f * f
+    # units of (Z/6)[x^±] are unit monomials mod 2 and mod 3, glued by CRT
+    r6 = make_ring("poly(zmod:6; x; inv x)")
+    for _ in range(30):
+        i, j, c = rng.randint(-3, 3), rng.randint(-3, 3), rng.choice((1, 2))
+        a = r6.elem(r6.monomial((i,), 3)) + r6.elem(r6.monomial((j,), 4 * c))
+        ok, inv = elem_is_unit(a)
+        assert ok and inv == r6.elem(r6.monomial((-i,), 3)) + r6.elem(r6.monomial((-j,), 4 * c))
+    for ring in (r8, r6):
+        assert elem_is_unit(ring("1+1*x")) == (False, None)
+
+
+def test_rational_literal_zero_denominator():
+    for s in ("1/0", "-3/0", "0/0"):
+        with pytest.raises(ParseError):
+            RATIONALS.el_from_str(s)
+    with pytest.raises(ParseError):
+        make_ring("poly(rationals; x)").el_from_str("1/0*x")
+
+
+def test_quotient_literal_with_large_exponent():
+    # t^3 = 1, so t^(10^9 + 1) = t^2, found by squaring rather than one
+    # division step per degree
+    q = make_ring("quot(poly(rationals; t); 1*t^3+-1)")
+    assert q("1*t^1000000001+2") == q("1*t^2+2")
