@@ -42,6 +42,13 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a malformed command line as a UsageError."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _emit(obj, args) -> str:
     if args.pretty:
         text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -181,13 +188,6 @@ def cmd_cone(args):
             obj = json.loads(args.json)
         except json.JSONDecodeError as e:
             raise UsageError(f"--json is not valid JSON: {e}") from None
-        if not (
-            isinstance(obj, dict)
-            and isinstance(obj.get("base"), str)
-            and isinstance(obj.get("d"), list)
-            and all(isinstance(v, str) for v in obj["d"])
-        ):
-            raise UsageError('--json needs an object with a string "base" and string list "d"')
         q = quasi_ideal_from_json(obj)
         ring = q.ring
     else:
@@ -302,12 +302,12 @@ def cmd_verify(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wittforge",
         description="Exact Witt vector calculus, cones, Rees filtrations, "
         "de Rham cohomology of monomial algebras, and prismatic point groupoids.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def witt_args(sp, vectors=("a",)):
         sp.add_argument("--ring", required=True, help="ring descriptor")
@@ -415,9 +415,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (
         UsageError,

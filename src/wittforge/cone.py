@@ -194,9 +194,16 @@ def quasi_ideal_to_json(q: QuasiIdeal) -> dict:
     }
 
 
-def quasi_ideal_from_json(obj: dict) -> QuasiIdeal:
+def quasi_ideal_from_json(obj) -> QuasiIdeal:
     from .rings import make_ring
 
+    if not (
+        isinstance(obj, dict)
+        and isinstance(obj.get("base"), str)
+        and isinstance(obj.get("d"), list)
+        and all(isinstance(v, str) for v in obj["d"])
+    ):
+        raise ConeError('a quasi-ideal needs an object with a string "base" and string list "d"')
     if obj.get("relations"):
         raise UnsupportedRing("relation matrices are not supported; use a free module")
     ring = make_ring(obj["base"])

@@ -1,13 +1,73 @@
 """Sparse integer polynomials in a fixed variable list.
 
-The representation is a dict from exponent tuples to nonzero int
-coefficients.  This is the engine behind the universal Witt polynomials;
-division by an integer is exact-or-raise, never rounded.
+A polynomial stores a dict from exponent tuples to nonzero int
+coefficients.  Exponents are nonnegative.  Products and powers run on packed
+keys: each exponent tuple becomes one int, read in a mixed radix whose place
+values come from the operands' per-variable maximum exponents (a product's
+exponent is at most the sum of its factors' maxima, a k-th power's at most k
+times the maximum), so adding keys multiplies monomials with no carry between
+variables.  Division by an integer is exact-or-raise, never rounded.  This is
+the engine behind the universal Witt polynomials.
 """
 
 from __future__ import annotations
 
+from math import prod
+from operator import mul
+
 from .rings import InexactDivision
+
+
+def _pmul(a: dict, b: dict) -> dict:
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict = {}
+    get = out.get
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            s = get(k, 0) + c1 * c2
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def _ppow(a: dict, n: int) -> dict:
+    result = {0: 1}
+    base = a
+    while n:
+        if n & 1:
+            result = _pmul(result, base)
+        n >>= 1
+        if n:
+            base = _pmul(base, base)
+    return result
+
+
+def _maxima(p: "IntPoly") -> list:
+    if not p.terms:
+        return [0] * p.nvars
+    return [max(column) for column in zip(*p.terms)]
+
+
+def _pack(p: "IntPoly", radices) -> dict:
+    places = [prod(radices[:i]) for i in range(len(radices))]
+    return {sum(map(mul, e, places)): c for e, c in p.terms.items()}
+
+
+def _unpack(packed: dict, radices, nvars: int) -> "IntPoly":
+    terms = {}
+    for key, c in packed.items():
+        exps = []
+        for r in radices:
+            key, e = divmod(key, r)
+            exps.append(e)
+        terms[tuple(exps)] = c
+    p = IntPoly(nvars)
+    p.terms = terms
+    return p
 
 
 class IntPoly:
@@ -21,10 +81,6 @@ class IntPoly:
                 if c:
                     self.terms[exps] = self.terms.get(exps, 0) + c
             self.terms = {e: c for e, c in self.terms.items() if c}
-
-    @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
 
     @classmethod
     def const(cls, nvars, c):
@@ -73,36 +129,32 @@ class IntPoly:
             p = IntPoly(self.nvars)
             p.terms = {e: c * other for e, c in self.terms.items()}
             return p
-        out: dict = {}
-        if len(self.terms) > len(other.terms):
-            big, small = self.terms, other.terms
-        else:
-            big, small = other.terms, self.terms
-        for e1, c1 in small.items():
-            for e2, c2 in big.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        p = IntPoly(self.nvars)
-        p.terms = out
-        return p
+        radices = [a + b + 1 for a, b in zip(_maxima(self), _maxima(other))]
+        return _unpack(_pmul(_pack(self, radices), _pack(other, radices)), radices, self.nvars)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        result = IntPoly.const(self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return IntPoly.power_sum(self.nvars, [(1, self, n)])
+
+    @staticmethod
+    def power_sum(nvars: int, summands: list) -> "IntPoly":
+        """Sum of c * p**k over the (c, p, k) in summands, with one unpacking."""
+        radices = [1] * nvars
+        for _, p, k in summands:
+            if k < 0:
+                raise ValueError("negative power")
+            radices = [max(r, k * m + 1) for r, m in zip(radices, _maxima(p))]
+        out: dict = {}
+        get = out.get
+        for c, p, k in summands:
+            for key, v in _ppow(_pack(p, radices), k).items():
+                s = get(key, 0) + c * v
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
+        return _unpack(out, radices, nvars)
 
     def exact_div(self, n: int) -> "IntPoly":
         out = {}
@@ -157,29 +209,14 @@ class IntPoly:
         """Compose: plug IntPolys (in the target variable count) in for variables."""
         nv = polys[0].nvars if polys else self.nvars
         total = IntPoly(nv)
-        cache: list[dict] = [dict() for _ in range(self.nvars)]
-
-        def vp(i, e):
-            c = cache[i]
-            if e in c:
-                return c[e]
-            if e == 0:
-                r = IntPoly.const(nv, 1)
-            elif e == 1:
-                r = polys[i]
-            else:
-                half = vp(i, e // 2)
-                r = half * half
-                if e & 1:
-                    r = r * polys[i]
-            c[e] = r
-            return r
-
+        powers: dict = {}
         for exps, coeff in self.terms.items():
             term = IntPoly.const(nv, coeff)
             for i, e in enumerate(exps):
                 if e:
-                    term = term * vp(i, e)
+                    if (i, e) not in powers:
+                        powers[i, e] = polys[i] ** e
+                    term = term * powers[i, e]
             total = total + term
         return total
 

@@ -100,83 +100,6 @@ def _var_weights(E: IndexSet, op: str) -> list[int]:
     return list(E.elements)
 
 
-# ---------------------------------------------------------------------------
-# packed-key polynomial arithmetic for the generation hot path
-
-
-class _Packer:
-    """Mixed-radix packing of exponent tuples into single ints.
-
-    Sound for isobaric computations of total weight <= W: the exponent of a
-    weight-w variable never exceeds W // w.
-    """
-
-    def __init__(self, weights, W):
-        self.radices = [W // w + 1 for w in weights]
-        self.bases = []
-        b = 1
-        for r in self.radices:
-            self.bases.append(b)
-            b *= r
-
-    def pack(self, exps):
-        return sum(e * b for e, b in zip(exps, self.bases))
-
-    def unpack(self, key):
-        out = []
-        for r in self.radices:
-            key, e = divmod(key, r)
-            out.append(e)
-        return tuple(out)
-
-    def pack_poly(self, poly: IntPoly) -> dict:
-        return {self.pack(e): c for e, c in poly.terms.items()}
-
-    def unpack_poly(self, d: dict, nvars: int) -> IntPoly:
-        p = IntPoly(nvars)
-        p.terms = {self.unpack(k): c for k, c in d.items() if c}
-        return p
-
-
-def _pmul(a: dict, b: dict) -> dict:
-    if len(a) > len(b):
-        a, b = b, a
-    out: dict = {}
-    get = out.get
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            k = k1 + k2
-            s = get(k, 0) + c1 * c2
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return out
-
-
-def _ppow(a: dict, n: int) -> dict:
-    result = {0: 1}
-    base = a
-    while n:
-        if n & 1:
-            result = _pmul(result, base)
-        n >>= 1
-        if n:
-            base = _pmul(base, base)
-    return result
-
-
-def _psub_scaled(a: dict, b: dict, c: int) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, 0) - c * v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
 def _slice_bound(weights, W) -> int:
     """Number of monomials of weighted degree exactly W (unbounded knapsack)."""
     cnt = [0] * (W + 1)
@@ -273,16 +196,15 @@ def _certify_step(E: IndexSet, op: str, n: int):
                 )
 
 
-def _random_eval_check(E, op, n, poly_n, lower, rng):
-    """Spot-check the generated level against the ghost identity over Z."""
+def _random_eval_check(E, op, n, polys, rng):
+    """Spot-check the generated level n of polys against the ghost identity over Z."""
     names = _var_names(E, op)
     for _ in range(3):
         vals = [rng.randint(-6, 6) for _ in names]
         lhs = 0
         for d in divisors(n):
-            if d in lower or d == n:
-                pd = poly_n if d == n else lower[d]
-                lhs += d * pd.evaluate(INTEGERS, vals) ** (n // d)
+            if d in polys:
+                lhs += d * polys[d].evaluate(INTEGERS, vals) ** (n // d)
         rhs = _ghost_target(E, op, n).evaluate(INTEGERS, vals)
         if lhs != rhs:
             raise GenerationError(f"ghost identity violated at level {n} of {op}")
@@ -300,45 +222,23 @@ def generate_universal_polynomials(
 
     rng = rng or random.Random(20210 + len(E))
     names = _var_names(E, op)
-    weights = _var_weights(E, op)
     levels = _family_levels(E, op)
     nvars = len(names)
     polys: dict = {}
     certified: list[int] = []
-    materialized: dict = {}
-
-    frob_k = int(op.split(":")[1]) if op.startswith("frobenius:") else None
 
     for n in levels:
         lower = [d for d in divisors(n) if d != n and d in polys]
         if _level_bound(E, op, n) > term_cap or any(polys[d] is None for d in lower):
-            if frob_k is not None:
-                _certify_step(E, f"frobenius:{frob_k}", n)
-            else:
-                _certify_step(E, op, n)
+            _certify_step(E, op, n)
             polys[n] = None
             certified.append(n)
             continue
-        packer = _Packer(weights, n if frob_k is None else frob_k * n)
-        defect = packer.pack_poly(_ghost_target(E, op, n))
-        for d in lower:
-            power = _ppow(packer.pack_poly(materialized[d]), n // d)
-            defect = _psub_scaled(defect, power, d)
-        if n > 1:
-            quotient = {}
-            for k, c in defect.items():
-                q, r = divmod(c, n)
-                if r:
-                    raise InexactDivision(
-                        f"defect coefficient {c} not divisible by {n} in {op} for E={E}"
-                    )
-                quotient[k] = q
-            defect = quotient
-        poly_n = packer.unpack_poly(defect, nvars)
+        summands = [(1, _ghost_target(E, op, n), 1)] + [(-d, polys[d], n // d) for d in lower]
+        poly_n = IntPoly.power_sum(nvars, summands).exact_div(n)
         polys[n] = poly_n
-        materialized[n] = poly_n
         if poly_n.num_terms() <= SYMBOLIC_VERIFY_CAP:
-            _random_eval_check(E, op, n, poly_n, materialized, rng)
+            _random_eval_check(E, op, n, polys, rng)
     return UniversalEntry(E, op, names, levels, polys, certified)
 
 

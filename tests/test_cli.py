@@ -321,6 +321,10 @@ def test_bad_index_set_exit_code(capsys):
         ["cone", "--json", '{"base":5,"d":["1"]}'],
         ["cone", "--json", '{"base":"integers","d":[1]}'],
         ["rees", "--step", "3,x"],
+        # argparse's own errors: an unknown option, a missing required option
+        ["witt", "add", "--ring", "integers", "--index-set", "div:2", "--a", "1,0", "--b", "1,0",
+         "--bogus"],
+        ["witt", "add", "--ring", "integers", "--a", "1,0", "--b", "1,0"],
     ],
 )
 def test_malformed_input_exit_code(argv, capsys):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from wittforge.cone import (
+    ConeError,
     FreeModule,
     QuasiIdeal,
     UnsupportedRing,
@@ -131,6 +132,14 @@ def test_quasi_ideal_json():
     assert q2.d_gens == q.d_gens and q2.ring == q.ring
     with pytest.raises(UnsupportedRing):
         quasi_ideal_from_json({"base": "integers", "generators": 1, "relations": [[1]], "d": ["2"]})
+    for bad in (
+        [1],  # not an object
+        {"base": 5, "d": ["1"]},  # base not a string
+        {"base": "integers", "d": [1]},  # a d-value not a string
+        {"base": "integers", "d": "12"},  # d a string, not a list of strings
+    ):
+        with pytest.raises(ConeError):
+            quasi_ideal_from_json(bad)
 
 
 def test_pi0_univariate_rational_quotients():

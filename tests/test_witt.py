@@ -125,6 +125,21 @@ def test_verschiebung():
         assert frobenius(2, verschiebung(2, c, E2)) == witt_from_int(2, E2.restrict(2), z9) * c
 
 
+def test_frobenius_verschiebung_identities_at_larger_index_sets():
+    # F_n V_n = n and the projection formula V_n(a) b = V_n(a F_n(b))
+    rng = random.Random(12)
+    for E in (IndexSet.divisors_of(12), IndexSet.p_typical(2, 4), IndexSet.divisors_of(30)):
+        for ring in (INTEGERS, make_ring("zmod:12"), RATIONALS):
+            for n in E.elements[1:]:
+                En = E.restrict(n)
+                for _ in range(4):
+                    a = random_witt(En, ring, rng)
+                    b = random_witt(E, ring, rng)
+                    va = verschiebung(n, a, E)
+                    assert frobenius(n, va) == witt_from_int(n, En, ring) * a
+                    assert va * b == verschiebung(n, a * frobenius(n, b), E)
+
+
 def test_teichmuller():
     assert teichmuller(1, E6, INTEGERS) == witt_one(E6, INTEGERS)
     rng = random.Random(4)
