@@ -231,6 +231,8 @@ def cmd_rees(args):
             dims = [int(x) for x in args.step.split(",")]
         except ValueError:
             raise UsageError(f"--step needs comma separated integers, not {args.step!r}") from None
+        if any(d < 0 for d in dims):
+            raise UsageError(f"step dimensions must be nonnegative, not {args.step!r}")
         if any(d2 > d1 for d1, d2 in zip(dims, dims[1:])):
             raise UsageError("step dimensions must be decreasing")
         ambient = dims[0]

@@ -8,8 +8,12 @@ whose character entry is nonzero; the scalar is invertible in Q), so the
 cohomology is the exterior algebra on the logarithmic torus classes and all
 computations are finite and exact.
 
-The Hodge filtration is computed from the stupid truncations degreewise per
-slice, and packaged through the Rees dictionary with Fil^i in degree -i.
+Each slice's cohomology comes from ranks alone: dim H^j = dim Omega^j -
+rank d_j - rank d_{j-1}.  The Hodge filtration is the one induced by the
+stupid truncations sigma^{>=i}: H^j is spanned by closed j-forms, which lie
+in sigma^{>=i} exactly when i <= j, so Fil^i H^j = H^j for i <= j and 0
+otherwise.  It is packaged through the Rees dictionary with Fil^i in degree
+-i.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .filtration import (
     Subspace,
     matrix_rank,
     rees_of_filtered,
-    rref,
 )
 
 
@@ -74,49 +77,14 @@ class ComplexSlice:
                         return False
         return True
 
-    def _kernel(self, k):
-        ncols = len(self.bases[k])
-        if ncols == 0:
-            return []
-        rows = [list(r) for r in self.d_mats[k]]
-        if not rows:
-            return [
-                tuple(Fraction(int(i == j)) for j in range(ncols)) for i in range(ncols)
-            ]
-        reduced, pivots = rref(rows)
-        basis = []
-        for fcol in (c for c in range(ncols) if c not in pivots):
-            v = [Fraction(0)] * ncols
-            v[fcol] = Fraction(1)
-            for rrow, p in zip(reduced, pivots):
-                v[p] = -rrow[fcol]
-            basis.append(tuple(v))
-        return basis
-
-    def _image(self, k):
-        if k < 0:
-            return []
-        mat = self.d_mats[k]
-        src = len(self.bases[k])
-        tgt = len(self.bases[k + 1])
-        cols = []
-        for c in range(src):
-            cols.append(tuple(mat[r][c] for r in range(tgt)))
-        return cols
-
     def cohomology_dim(self, j):
+        """dim H^j = dim Omega^j - rank d_j - rank d_{j-1} (d_j: Omega^j -> Omega^{j+1})."""
         n = self.algebra.dim()
         if j < 0 or j > n:
             return 0
-        z = len(self.bases[n]) if j == n else len(self._kernel(j))
-        b = matrix_rank(self._image(j - 1)) if j >= 1 else 0
-        return z - b
-
-    def truncated_image_dim(self, i, j):
-        """dim of the image of H^j(stupid truncation >= i) in H^j."""
-        if j < i:
-            return 0
-        return self.cohomology_dim(j)
+        rank_out = matrix_rank(self.d_mats[j]) if j < n else 0
+        rank_in = matrix_rank(self.d_mats[j - 1]) if j >= 1 else 0
+        return len(self.bases[j]) - rank_out - rank_in
 
 
 def _slice_for(A: MonomialAlgebra, character) -> ComplexSlice:
@@ -204,7 +172,6 @@ def hodge_cohomology(A: MonomialAlgebra, torus_bound: int = 1, affine_bound: int
     slices = build_complex(A, torus_bound, affine_bound)
     n = A.dim()
     h = {j: 0 for j in range(n + 1)}
-    fil = {(i, j): 0 for j in range(n + 1) for i in range(0, n + 2)}
     for sl in slices:
         zero_char = all(c == 0 for c in sl.character[0]) and all(
             c == 0 for c in sl.character[1]
@@ -214,24 +181,16 @@ def hodge_cohomology(A: MonomialAlgebra, torus_bound: int = 1, affine_bound: int
             if not zero_char and dimh != 0:
                 raise DeRhamError(f"nonzero character slice {sl.character} not exact")
             h[j] += dimh
-            for i in range(0, n + 2):
-                fil[(i, j)] += min(sl.truncated_image_dim(i, j), dimh)
+    # H^j is spanned by closed j-forms, which lie in the stupid truncation
+    # sigma^{>=i} exactly when i <= j: so Fil^i H^j = H^j for i <= j, else 0.
+    fil = {(i, j): h[j] if i <= j else 0 for j in range(n + 1) for i in range(0, n + 2)}
     filtered = {}
     for j in range(n + 1):
-        amb = h[j]
-        pieces = {}
-        for i in range(0, n + 2):
-            d = fil[(i, j)]
-            pieces[i] = Subspace.full(amb) if d == amb else _coordinate_subspace(amb, d)
-        filtered[j] = FilteredModule(amb, 0, n + 1, pieces, "zero")
+        pieces = {
+            i: Subspace.full(h[j]) if i <= j else Subspace.zero(h[j]) for i in range(0, n + 2)
+        }
+        filtered[j] = FilteredModule(h[j], 0, n + 1, pieces, "zero")
     return HodgeFilteredCohomology(A, h, fil, filtered)
-
-
-def _coordinate_subspace(ambient, dim):
-    rows = [
-        [Fraction(int(i == j)) for j in range(ambient)] for i in range(dim)
-    ]
-    return Subspace.span(ambient, rows)
 
 
 def rees_package_degree(H: HodgeFilteredCohomology, j: int) -> ReesModule:

@@ -14,8 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import prod
 
 from .numutil import binomial
+from .sparsepoly import IntPoly
 
 
 class FiltrationError(Exception):
@@ -85,14 +87,31 @@ class Subspace:
     def dim(self):
         return len(self.basis)
 
-    def contains_vector(self, v):
+    def pivots(self):
+        """The pivot column of each basis row (its first nonzero entry)."""
+        return [next(j for j, x in enumerate(row) if x != 0) for row in self.basis]
+
+    def reduce(self, v):
+        """(coordinates of v on the basis, residual of v against the span).
+
+        v is the coordinates' combination of the basis rows plus the
+        residual, which is zero exactly when v lies in the subspace.
+        """
+        if len(v) != self.ambient:
+            raise FiltrationError(
+                f"vector of length {len(v)} in a subspace of Q^{self.ambient}"
+            )
         v = list(map(Fraction, v))
-        for row in self.basis:
-            c = next((j for j, x in enumerate(row) if x != 0), None)
-            if c is not None and v[c] != 0:
-                f = v[c]
+        coords = []
+        for row, c in zip(self.basis, self.pivots()):
+            f = v[c]
+            coords.append(f)
+            if f != 0:
                 v = [a - f * b for a, b in zip(v, row)]
-        return all(x == 0 for x in v)
+        return coords, v
+
+    def contains_vector(self, v):
+        return not any(self.reduce(v)[1])
 
     def contains(self, other: "Subspace"):
         return all(self.contains_vector(r) for r in other.basis)
@@ -141,6 +160,10 @@ class FilteredModule:
         for i in range(self.lo, self.hi + 1):
             if i not in self.pieces:
                 raise FiltrationError(f"missing piece {i}")
+            if self.pieces[i].ambient != self.ambient:
+                raise FiltrationError(
+                    f"piece {i} lies in Q^{self.pieces[i].ambient}, not Q^{self.ambient}"
+                )
         for i in range(self.lo, self.hi):
             if not self.pieces[i].contains(self.pieces[i + 1]):
                 raise FiltrationError(f"filtration not decreasing at {i}")
@@ -165,7 +188,8 @@ class FilteredModule:
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.lo, self.hi, self.tail))
+        # only what __eq__ compares: one module has many (lo, hi, tail) spellings
+        return hash((self.ambient, self.tail_space()))
 
 
 def filtered_line(n: int = 0) -> FilteredModule:
@@ -231,17 +255,12 @@ def complete_filtration(M: FilteredModule):
     if complete:
         return M, {"complete": True, "intersection_dim": 0}
     # coordinates on the quotient: drop the pivot columns of T
-    _, pivots = rref(list(T.basis))
+    pivots = T.pivots()
     keep = [c for c in range(M.ambient) if c not in pivots]
 
     def project(v):
-        v = list(map(Fraction, v))
-        for row in T.basis:
-            c = next(j for j, x in enumerate(row) if x != 0)
-            if v[c] != 0:
-                f = v[c]
-                v = [a - f * b for a, b in zip(v, row)]
-        return tuple(v[c] for c in keep)
+        residual = T.reduce(v)[1]
+        return tuple(residual[c] for c in keep)
 
     pieces = {}
     for i in range(M.lo, M.hi + 1):
@@ -306,7 +325,8 @@ class ReesModule:
         return all(self.piece(d) == other.piece(d) for d in range(lo, hi + 1))
 
     def __hash__(self):
-        return hash((self.ambient, self.lo_deg, self.hi_deg))
+        # only what __eq__ compares: the free top piece, not the degree bounds
+        return hash((self.ambient, self.pieces[self.hi_deg]))
 
     def to_json(self):
         out = {"pieces": {}, "t_maps": {}}
@@ -320,15 +340,8 @@ class ReesModule:
 
 
 def _coords_in_basis(v, space: Subspace):
-    v = list(map(Fraction, v))
-    coords = []
-    for row in space.basis:
-        c = next(j for j, x in enumerate(row) if x != 0)
-        coords.append(v[c])
-        if v[c] != 0:
-            f = v[c]
-            v = [a - f * b for a, b in zip(v, row)]
-    if any(x != 0 for x in v):
+    coords, residual = space.reduce(v)
+    if any(residual):
         raise FiltrationError("vector not in the target piece")
     return coords
 
@@ -400,31 +413,19 @@ def iadic_gr_crosscheck(g: int, top_degree: int, total_degree_cap: int) -> bool:
     D = total_degree_cap
     monos = _monomials(2 * g, D)
     index = {m: k for k, m in enumerate(monos)}
-
-    def expand_diag_power(alpha):
-        # prod_j (x_j - y_j)^alpha_j expanded into Q[x, y]
-        poly = {tuple([0] * (2 * g)): Fraction(1)}
-        for j, a in enumerate(alpha):
-            for _ in range(a):
-                nxt = {}
-                for exps, c in poly.items():
-                    for var, sign in ((j, 1), (g + j, -1)):
-                        e = list(exps)
-                        e[var] += 1
-                        key = tuple(e)
-                        nxt[key] = nxt.get(key, Fraction(0)) + sign * c
-                poly = nxt
-        return poly
+    one = IntPoly.const(2 * g, 1)
+    diag = [IntPoly.var(2 * g, j) - IntPoly.var(2 * g, g + j) for j in range(g)]
 
     def power_dim(i):
         if i > D:
             return 0
         rows = []
-        for alpha in _compositions(g, i):
-            base = expand_diag_power(alpha)
+        for alpha in (m for m in _monomials(g, i) if sum(m) == i):
+            # prod_j (x_j - y_j)^alpha_j expanded into Q[x, y]
+            base = prod((u**a for u, a in zip(diag, alpha)), start=one)
             for rest in _monomials(2 * g, D - i):
-                vec = [Fraction(0)] * len(monos)
-                for exps, c in base.items():
+                vec = [0] * len(monos)
+                for exps, c in base.terms.items():
                     e = tuple(a + b for a, b in zip(exps, rest))
                     vec[index[e]] += c
                 rows.append(vec)
@@ -457,16 +458,6 @@ def _monomials(nvars, max_total):
             rec(prefix + [e], remaining - e, slots - 1)
 
     rec([], max_total, nvars)
-    return out
-
-
-def _compositions(nvars, total):
-    if nvars == 1:
-        return [(total,)]
-    out = []
-    for e in range(total + 1):
-        for rest in _compositions(nvars - 1, total - e):
-            out.append((e,) + rest)
     return out
 
 

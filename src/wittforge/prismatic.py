@@ -128,7 +128,6 @@ class WbarModel:
             if self.pi0_to_rbar(i) == zero_cls:
                 if not self._pi0_nilpotent(i, zero_w):
                     return False
-        x1 = self.context.xi.coords[0]
         for r in self.context.ring.elements():
             if self.r_to_rbar(r) == zero_cls:
                 if self.context.ring.nilpotent_index(r) is None:
@@ -164,14 +163,12 @@ class WbarModel:
         return True
 
 
-def wbar_ring(ctx: PrismaticContext, n_level: int = 2) -> WbarModel:
+def wbar_ring(ctx: PrismaticContext) -> WbarModel:
     if ctx.ring.size() is None:
         raise EnumerationBudget("wbar model needs a finite ring")
     q = ctx.quasi_ideal()
     pi0 = cone_pi0(q)
     rbar = cone_pi0(QuasiIdeal.rank_one(ctx.ring, ctx.xi.coords[0]))
-    if n_level < 1:
-        raise PrismaticError("cone level must be >= 1")
     return WbarModel(ctx, q, pi0, rbar)
 
 

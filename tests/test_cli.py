@@ -321,6 +321,8 @@ def test_bad_index_set_exit_code(capsys):
         ["cone", "--json", '{"base":5,"d":["1"]}'],
         ["cone", "--json", '{"base":"integers","d":[1]}'],
         ["rees", "--step", "3,x"],
+        ["rees", "--step", "2,-1"],
+        ["rees", "--step", "-1"],
         # argparse's own errors: an unknown option, a missing required option
         ["witt", "add", "--ring", "integers", "--index-set", "div:2", "--a", "1,0", "--b", "1,0",
          "--bogus"],

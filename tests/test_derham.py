@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from wittforge.derham import (
@@ -56,6 +58,49 @@ def test_slices():
         if any(sl.character[0]) or any(sl.character[1]):
             for j in range(A.dim() + 1):
                 assert sl.cohomology_dim(j) == 0
+
+
+def _null_space(mat, ncols):
+    """A basis of {v : mat v = 0}, by Gauss-Jordan elimination written out here."""
+    rows = [[Fraction(x) for x in r] for r in mat]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                rows[i] = [a - rows[i][c] * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(int(c == free)) for c in range(ncols)]
+        for row, p in zip(rows, pivots):
+            v[p] = -row[free]
+        basis.append(v)
+    return basis
+
+
+@pytest.mark.parametrize("a", range(3))
+@pytest.mark.parametrize("b", range(3))
+def test_cohomology_dim_against_null_spaces(a, b):
+    A = MonomialAlgebra(a, b)
+    n = A.dim()
+    for sl in build_complex(A, 1, 2):
+        dims = sl.dims()
+        kernels = []
+        for k in range(n + 1):
+            mat = sl.d_mats[k] if k < n else []
+            basis = _null_space(mat, dims[k])
+            for v in basis:
+                assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in mat)
+            kernels.append(len(basis))
+        for j in range(n + 1):
+            image = dims[j - 1] - kernels[j - 1] if j >= 1 else 0
+            assert sl.cohomology_dim(j) == kernels[j] - image, (sl.character, j)
 
 
 def test_zero_slice_contributes():

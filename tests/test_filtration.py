@@ -5,6 +5,7 @@ import pytest
 
 from wittforge.filtration import (
     FilteredModule,
+    FiltrationError,
     ReesModule,
     Subspace,
     TorsionError,
@@ -128,3 +129,19 @@ def test_rees_json():
     r = rees_of_filtered(filtered_line(1))
     obj = r.to_json()
     assert obj["pieces"]["-1"] == {"rank": 1, "relations": []}
+
+
+def test_equal_modules_hash_equal():
+    full, zero = Subspace.full(1), Subspace.zero(1)
+    M = FilteredModule(1, 0, 1, {0: full, 1: zero})
+    N = FilteredModule(1, -1, 1, {-1: full, 0: full, 1: zero})
+    assert M == N and len({M, N}) == 1
+    RM, RN = rees_of_filtered(M), rees_of_filtered(N)
+    assert RM == RN and len({RM, RN}) == 1
+
+
+def test_mismatched_ambient_is_typed():
+    with pytest.raises(FiltrationError):
+        step_filtration([Subspace.full(3), Subspace.full(2)])
+    with pytest.raises(FiltrationError):
+        Subspace.full(3).contains_vector((1, 0))
