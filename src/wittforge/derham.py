@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product as iter_product
 
 from .cone import QuasiIdeal, cone_pi0, quasi_ideal_check
@@ -77,13 +78,18 @@ class ComplexSlice:
                         return False
         return True
 
+    @cached_property
+    def d_ranks(self):
+        """rank d_k for every k, each differential row-reduced once."""
+        return [matrix_rank(m) for m in self.d_mats]
+
     def cohomology_dim(self, j):
         """dim H^j = dim Omega^j - rank d_j - rank d_{j-1} (d_j: Omega^j -> Omega^{j+1})."""
         n = self.algebra.dim()
         if j < 0 or j > n:
             return 0
-        rank_out = matrix_rank(self.d_mats[j]) if j < n else 0
-        rank_in = matrix_rank(self.d_mats[j - 1]) if j >= 1 else 0
+        rank_out = self.d_ranks[j] if j < n else 0
+        rank_in = self.d_ranks[j - 1] if j >= 1 else 0
         return len(self.bases[j]) - rank_out - rank_in
 
 

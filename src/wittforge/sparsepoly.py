@@ -6,8 +6,14 @@ keys: each exponent tuple becomes one int, read in a mixed radix whose place
 values come from the operands' per-variable maximum exponents (a product's
 exponent is at most the sum of its factors' maxima, a k-th power's at most k
 times the maximum), so adding keys multiplies monomials with no carry between
-variables.  Division by an integer is exact-or-raise, never rounded.  This is
-the engine behind the universal Witt polynomials.
+variables.  A k-th power is one chain: a^2 by half-pair squaring (pairs
+i <= j only, cross terms doubled), then a^(j+1) = a^j * a.  When the input
+to a power is invariant under swapping the two halves of an even variable
+list (x <-> y in the sum and product families), each a^j * a step multiplies
+only a's canonical and fixed terms and adds the mirror image of the
+canonical part; the symmetry is read off the packed input, never assumed.
+Division by an integer is exact-or-raise, never rounded.  This is the engine
+behind the universal Witt polynomials.
 """
 
 from __future__ import annotations
@@ -18,10 +24,12 @@ from operator import mul
 from .rings import InexactDivision
 
 
-def _pmul(a: dict, b: dict) -> dict:
+def _pmul(a: dict, b: dict, out: dict | None = None) -> dict:
+    """Product of packed a and b, added into out (a new dict by default)."""
     if len(a) > len(b):
         a, b = b, a
-    out: dict = {}
+    if out is None:
+        out = {}
     get = out.get
     for k1, c1 in a.items():
         for k2, c2 in b.items():
@@ -34,15 +42,81 @@ def _pmul(a: dict, b: dict) -> dict:
     return out
 
 
-def _ppow(a: dict, n: int) -> dict:
-    result = {0: 1}
-    base = a
-    while n:
-        if n & 1:
-            result = _pmul(result, base)
-        n >>= 1
-        if n:
-            base = _pmul(base, base)
+def _psquare(a: dict) -> dict:
+    """a * a over the pairs i <= j only, with the cross terms doubled."""
+    items = list(a.items())
+    out: dict = {}
+    get = out.get
+    for i, (k1, c1) in enumerate(items):
+        k = k1 + k1
+        s = get(k, 0) + c1 * c1
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+        c1 += c1
+        for k2, c2 in items[i + 1 :]:
+            k = k1 + k2
+            s = get(k, 0) + c1 * c2
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def _swap(key: int, place: int) -> int:
+    """Exchange the two blocks of a packed key whose second block has this place value."""
+    hi, lo = divmod(key, place)
+    return hi + lo * place
+
+
+def _is_swap_invariant(a: dict, place: int) -> bool:
+    return all(a.get(_swap(k, place)) == c for k, c in a.items())
+
+
+def _pmul_mirror(b: dict, canonical: dict, fixed: dict, place: int) -> dict:
+    """b * a for swap-invariant b and a = canonical + fixed + swap(canonical).
+
+    b * swap(canonical) is the mirror image of b * canonical, so only the
+    canonical and fixed terms of a are multiplied.
+    """
+    out = _pmul(b, canonical)
+    get = out.get
+    for k, c in list(out.items()):
+        hi, lo = divmod(k, place)
+        k = hi + lo * place
+        s = get(k, 0) + c
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return _pmul(b, fixed, out)
+
+
+def _ppow(a: dict, k: int, place: int = 0) -> dict:
+    """a**k as one chain: a^2 by half-pair squaring, then a^(j+1) = a^j * a.
+
+    A nonzero place is the place value of the second of two equal blocks of
+    the radices; if a is invariant under swapping them, the steps go through
+    _pmul_mirror.
+    """
+    if k < 2:
+        return a if k else {0: 1}
+    result = _psquare(a)
+    if k > 2 and place and _is_swap_invariant(a, place):
+        canonical, fixed = {}, {}
+        for key, c in a.items():
+            mirror = _swap(key, place)
+            if key < mirror:
+                canonical[key] = c
+            elif key == mirror:
+                fixed[key] = c
+        for _ in range(k - 2):
+            result = _pmul_mirror(result, canonical, fixed, place)
+    else:
+        for _ in range(k - 2):
+            result = _pmul(result, a)
     return result
 
 
@@ -145,10 +219,16 @@ class IntPoly:
             if k < 0:
                 raise ValueError("negative power")
             radices = [max(r, k * m + 1) for r, m in zip(radices, _maxima(p))]
+        # with equal halves of the radices, swapping the halves of a packed
+        # key is the x <-> y swap
+        half = nvars // 2
+        place = 0
+        if nvars and not nvars % 2 and radices[:half] == radices[half:]:
+            place = prod(radices[:half])
         out: dict = {}
         get = out.get
         for c, p, k in summands:
-            for key, v in _ppow(_pack(p, radices), k).items():
+            for key, v in _ppow(_pack(p, radices), k, place).items():
                 s = get(key, 0) + c * v
                 if s:
                     out[key] = s

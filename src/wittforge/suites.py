@@ -19,7 +19,7 @@ from . import filtration as filt_mod
 from . import prismatic as pris_mod
 from . import structure as struct_mod
 from .indexset import IndexSet
-from .numutil import binomial
+from .numutil import binomial, divisors
 from .rings import (
     INTEGERS,
     RATIONALS,
@@ -29,7 +29,7 @@ from .rings import (
     make_ring,
 )
 from .sparsepoly import IntPoly
-from .universal import get_universal, integrality_report
+from .universal import _ghost_target, get_universal, integrality_report
 from .witt import (
     WittRing,
     dwork_check,
@@ -291,12 +291,8 @@ def suite_witt_integrality(seed, budget):
         k = len(E)
         for op in ("sum", "product"):
             fam = get_universal(E, op)
-            from .universal import _ghost_target
-
             for n in E:
                 lhs = IntPoly(2 * k)
-                from .numutil import divisors
-
                 for d in divisors(n):
                     if d in E:
                         lhs = lhs + d * (fam.poly(d) ** (n // d))

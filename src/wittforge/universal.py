@@ -184,8 +184,8 @@ def _entry_from_json(obj) -> UniversalEntry:
 
 def _certify_step(E: IndexSet, op: str, n: int):
     """Exact divisibility certificate for one oversized level (see module doc)."""
+    target_n = _ghost_target(E, op, n)
     for p, r in factorize(n).items():
-        target_n = _ghost_target(E, op, n)
         target_m = _ghost_target(E, op, n // p)
         diff = target_n - target_m.frobenius_substitute(p)
         modulus = p**r
@@ -279,7 +279,7 @@ def get_universal(E: IndexSet, op: str, term_cap: int = DEFAULT_TERM_CAP) -> Uni
             os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
             tmp = path + ".tmp"
             with open(tmp, "w") as fh:
-                json.dump(entry.to_json(), fh)
+                fh.write(json.dumps(entry.to_json()))
             os.replace(tmp, path)
     with _LOCK:
         # two racing generators produce identical entries; first write wins

@@ -99,3 +99,102 @@ def test_edge_cases():
     assert (IntPoly.const(0, 2) ** 3).terms == {(): 8}
     with pytest.raises(ValueError):
         x**-1
+
+
+# ---------------------------------------------------------------------------
+# block-symmetric inputs: powers of polynomials invariant under swapping the
+# two halves of the variable list run through the mirrored product steps
+
+
+def swapped(p: IntPoly) -> IntPoly:
+    half = p.nvars // 2
+    return IntPoly(p.nvars, {e[half:] + e[:half]: c for e, c in p.terms.items()})
+
+
+@st.composite
+def symmetric_polys(draw, half, max_exp=3):
+    """p + swap(p), plus fixed terms (equal halves), minus some of p's terms
+    with their mirrors, so that those monomials cancel again."""
+    nvars = 2 * half
+    p = draw(polys(nvars, max_exp))
+    block = st.tuples(*(st.integers(0, max_exp) for _ in range(half)))
+    fixed = draw(st.dictionaries(block, st.integers(-9, 9), max_size=3))
+    f = IntPoly(nvars, {e + e: c for e, c in fixed.items()})
+    cancel = IntPoly(nvars, {e: c for e, c in p.terms.items() if draw(st.booleans())})
+    return p + swapped(p) + f - (cancel + swapped(cancel))
+
+
+@st.composite
+def symmetric_cases(draw):
+    half = draw(st.integers(1, 2))
+    point = draw(st.lists(st.integers(-3, 3), min_size=2 * half, max_size=2 * half))
+    return half, point
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_symmetric_product(data):
+    half, point = data.draw(symmetric_cases())
+    p, q = data.draw(symmetric_polys(half)), data.draw(symmetric_polys(half))
+    assert swapped(p) == p and swapped(q) == q
+    pq = p * q
+    assert pq.terms == naive_mul(p.terms, q.terms)
+    assert evaluate(pq, point) == evaluate(p, point) * evaluate(q, point)
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_symmetric_power(data):
+    half, point = data.draw(symmetric_cases())
+    p = data.draw(symmetric_polys(half, max_exp=2))
+    k = data.draw(st.integers(0, 5))
+    pk = p**k
+    assert pk.terms == naive_pow(p.terms, k, 2 * half)
+    assert evaluate(pk, point) == evaluate(p, point) ** k
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_symmetric_power_sum(data):
+    half, point = data.draw(symmetric_cases())
+    nvars = 2 * half
+    summand = st.tuples(st.integers(-4, 4), symmetric_polys(half, max_exp=2), st.integers(0, 5))
+    summands = data.draw(st.lists(summand, min_size=1, max_size=3))
+    if data.draw(st.booleans()):
+        # a summand that is not swap-invariant takes the plain path
+        summands.append((1, data.draw(polys(nvars, max_exp=2)), data.draw(st.integers(0, 4))))
+    total = IntPoly.power_sum(nvars, summands)
+    expected = IntPoly(nvars)
+    for c, p, k in summands:
+        expected = expected + IntPoly(nvars, naive_pow(p.terms, k, nvars)) * c
+    assert total.terms == expected.terms
+    assert evaluate(total, point) == sum(c * evaluate(p, point) ** k for c, p, k in summands)
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_symmetric_maxima_without_symmetry(data):
+    # equal halves of the radices but a coefficient that breaks the swap
+    # invariance: the power must fall back to the plain path
+    half, _ = data.draw(symmetric_cases())
+    nvars = 2 * half
+    p = data.draw(symmetric_polys(half, max_exp=2))
+    movable = [e for e in sorted(p.terms) if e[half:] + e[:half] != e]
+    hypothesis.assume(movable)
+    e = data.draw(st.sampled_from(movable))
+    # doubling one coefficient keeps the support, hence the maxima
+    p = p + IntPoly(nvars, {e: p.terms[e]})
+    assert swapped(p) != p
+    k = data.draw(st.integers(3, 4))
+    assert (p**k).terms == naive_pow(p.terms, k, nvars)
+
+
+def test_symmetric_edge_cases():
+    x, y = IntPoly.var(2, 0), IntPoly.var(2, 1)
+    # a fixed term only (x*y), a canonical pair only (x + y), and both
+    assert ((x * y) ** 3).terms == {(3, 3): 1}
+    assert ((x + y) ** 3).terms == {(3, 0): 1, (2, 1): 3, (1, 2): 3, (0, 3): 1}
+    assert ((x + y + x * y) ** 3).terms == naive_pow((x + y + x * y).terms, 3, 2)
+    # x^2 + 2x + y^2 - y has symmetric maxima and is not swap-invariant
+    p = x**2 + 2 * x + y**2 - y
+    assert (p**3).terms == naive_pow(p.terms, 3, 2)

@@ -1,10 +1,11 @@
+import hashlib
 import json
 import os
 import threading
 
 import pytest
 
-from wittforge.indexset import IndexSet
+from wittforge.indexset import IndexSet, index_set_make
 from wittforge.sparsepoly import IntPoly
 from wittforge.universal import (
     UniversalEntry,
@@ -81,6 +82,9 @@ def test_disk_cache(tmp_path, monkeypatch):
     first = get_universal(E, "sum")
     files = os.listdir(tmp_path)
     assert any("sum" in f for f in files)
+    (name,) = files
+    with open(tmp_path / name) as fh:
+        assert fh.read() == json.dumps(first.to_json())
     clear_memory_cache()
     second = get_universal(E, "sum")
     assert first.polys[4] == second.polys[4]
@@ -128,3 +132,28 @@ def test_certificates_agree_with_exact_expansion():
         assert not exact.certified
         for n in forced.certified:
             assert exact.polys[n] is not None  # exact division succeeded too
+
+
+# SHA-256 of (level, sorted terms) over every level of a family, as produced
+# by the binary-powering engine that the chained, symmetric one replaced
+PINNED_SHA256 = {
+    ("div:12", "sum"): "dcb10b18e42759b3e30607408dad3294614f5da83c5abd4a9e99cf2aa821dfe1",
+    ("div:12", "product"): "86d6eb0c8ec56205e7b2661d442dc27fe63f68cdcbf52f1fec698b699c5ed47a",
+    ("div:12", "negation"): "0e2e84aa6487ffdde2c02b53965c72fa0c32970be41a4f86b3e24bc8d82ef9dc",
+    ("ptyp:2:4", "sum"): "3892ac6c79e58243d106b7393c5138b31b8ee530a8c4d9cb711b836f65e7c368",
+    ("ptyp:2:4", "product"): "44591887241076e2d21dd6c618c7101f56e484ecf220992c7f2814d7ed86e9b9",
+    ("ptyp:2:4", "negation"): "0de487e503d7d29893b8db29730c6b62b9417030d1f87be75a06442634a99ddb",
+    ("ptyp:3:3", "sum"): "063dcef02ebd9fd9daa6b793506d1e16e467cb3670c84fce21b80023c0a86a1e",
+    ("ptyp:3:3", "product"): "2a675fec0fb0a4335e381657cd524f3b21cd5bba8a2033e88fe613f8fb03cc24",
+    ("ptyp:3:3", "negation"): "80591bd6be99cc66281677471e8f5a89507714a0e5c7d0522fd4ddf661b85b5b",
+}
+
+
+@pytest.mark.parametrize("spec, op", sorted(PINNED_SHA256))
+def test_generation_output_pinned(spec, op):
+    entry = generate_universal_polynomials(index_set_make(spec), op)
+    assert not entry.certified
+    h = hashlib.sha256()
+    for n in entry.levels:
+        h.update(repr((n, sorted(entry.polys[n].terms.items()))).encode())
+    assert h.hexdigest() == PINNED_SHA256[spec, op]
