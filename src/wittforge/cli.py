@@ -75,7 +75,7 @@ def _vector(args, attr, ring, E):
     text = getattr(args, attr)
     if text is None:
         raise UsageError(f"--{attr} is required")
-    parts = [p for p in text.split(",")]
+    parts = text.split(",")
     if len(parts) != len(E):
         raise UsageError(f"--{attr} needs {len(E)} coordinates for {E}")
     return make_witt(E, ring, parts)
@@ -128,17 +128,10 @@ def cmd_frobenius(args):
 def cmd_verschiebung(args):
     ring, E = _ring_and_set(args)
     source = E.restrict(args.n)
-    a = _vector_over(args.a, ring, source)
+    a = _vector(args, "a", ring, source)
     out = verschiebung(args.n, a, E)
     _emit({"coords": _coords_json(out)}, args)
     return 0
-
-
-def _vector_over(text, ring, E):
-    parts = [p for p in text.split(",")]
-    if len(parts) != len(E):
-        raise UsageError(f"need {len(E)} coordinates for {E}")
-    return make_witt(E, ring, parts)
 
 
 def cmd_teich(args):

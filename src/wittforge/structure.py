@@ -119,14 +119,6 @@ class DecomposedWitt:
     def factor(self, n: int) -> WittVector:
         return self.factors[n]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, DecomposedWitt)
-            and self.p == other.p
-            and self.index_set == other.index_set
-            and self.factors == other.factors
-        )
-
 
 @dataclass(frozen=True)
 class VModuleLocal:

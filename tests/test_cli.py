@@ -327,6 +327,9 @@ def test_bad_index_set_exit_code(capsys):
         ["witt", "add", "--ring", "integers", "--index-set", "div:2", "--a", "1,0", "--b", "1,0",
          "--bogus"],
         ["witt", "add", "--ring", "integers", "--a", "1,0", "--b", "1,0"],
+        # refused by the morphism budget: 512 objects over W_{div:2}(Z/4)
+        ["prismatic", "--ring", "zmod:4", "--index-set", "div:2", "--xi", "2,3", "--p", "2",
+         "--gens", "x,y", "--relations", "1*x*y"],
     ],
 )
 def test_malformed_input_exit_code(argv, capsys):

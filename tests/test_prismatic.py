@@ -1,3 +1,5 @@
+from itertools import product as iter_product
+
 import pytest
 
 from wittforge.indexset import IndexSet
@@ -7,11 +9,13 @@ from wittforge.prismatic import (
     AffinePresentation,
     PrismaticContext,
     PrismaticError,
+    _difference_polys,
+    _koszul_pair_check,
     prismatic_points_affine,
     wbar_ring,
     witt_points,
 )
-from wittforge.witt import make_witt, witt_mul, witt_space
+from wittforge.witt import make_witt, witt_mul, witt_space, witt_unit_inverse
 
 Z4 = make_ring("zmod:4")
 E1 = IndexSet.explicit([1])
@@ -119,3 +123,106 @@ def test_groupoid_json():
     assert len(obj["objects"]) == 4
     assert len(obj["morphism_counts"]) == 4
     assert obj["pi0"]
+
+
+@pytest.mark.parametrize("relations", [("1*x*y",), ("2*x*y",), ("1*x^2", "1*y^2")])
+def test_two_generator_refusals(relations):
+    # 512 or 1,024 objects: the objects^2 bound refuses them before any walk
+    with pytest.raises(EnumerationBudget):
+        prismatic_points_affine(AffinePresentation(("x", "y"), relations), ctx_e2())
+
+
+# ---------------------------------------------------------------------------
+# the action-groupoid walk against a brute-force oracle: every pair of
+# objects, every alpha in the fibre product, and a union-find for pi0
+
+
+def _brute_force_groupoid(B, ctx):
+    wring = ctx.witt_ring
+    g = len(B.generators)
+    xi = wring.wrap(ctx.xi)
+    space = [v.coords for v in witt_space(ctx.index_set, ctx.ring)]
+    fibers: dict = {}
+    for gamma in space:
+        fibers.setdefault(wring.mul(xi, gamma), []).append(gamma)
+    rels = B.relation_intpolys()
+    diffs = _difference_polys(B)
+
+    objects = []
+    for combo in iter_product(space, repeat=g):
+        vals = [f.evaluate(wring, list(combo)) for f in rels]
+        if any(v not in fibers for v in vals):
+            continue
+        for gammas in iter_product(*[fibers[v] for v in vals]) if rels else [()]:
+            objects.append((tuple(combo), tuple(gammas)))
+    _koszul_pair_check(rels, wring, objects, xi)
+
+    homs: dict = {}
+    for i, (w, gam) in enumerate(objects):
+        for j, (w2, gam2) in enumerate(objects):
+            deltas = [wring.sub(b, a) for a, b in zip(w, w2)]
+            if any(d not in fibers for d in deltas):
+                continue
+            found = []
+            for alpha in iter_product(*[fibers[d] for d in deltas]):
+                vals = list(w) + list(alpha) + [xi]
+                if all(
+                    wring.add(gam[k], dpoly.evaluate(wring, vals)) == gam2[k]
+                    for k, dpoly in enumerate(diffs)
+                ):
+                    found.append(tuple(alpha))
+            if found:
+                homs[(i, j)] = found
+
+    parent = list(range(len(objects)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in homs:
+        parent[find(i)] = find(j)
+    groups: dict = {}
+    for i in range(len(objects)):
+        groups.setdefault(find(i), []).append(i)
+    return objects, homs, sorted(groups.values())
+
+
+def _draw_presentation(draw, st):
+    """Relations of degree <= 2: 0-2 over W_{1}(Z/4) in 1-2 generators, 0-1 over W_{div:2}(Z/4)
+    in one (two there give up to 256 objects, 5 s of brute force each)."""
+    ctx, g, most = draw(st.sampled_from([(ctx_e1, 1, 2), (ctx_e1, 2, 2), (ctx_e2, 1, 1)]))
+    ctx = ctx()
+    monomials = [e for e in iter_product(range(3), repeat=g) if sum(e) <= 2]
+    coeffs = st.integers(-3, 3).filter(bool)
+    relation = st.dictionaries(st.sampled_from(monomials), coeffs, min_size=1, max_size=3)
+    relations = draw(st.lists(relation, max_size=most))
+    B = AffinePresentation(("x", "y")[:g], tuple(tuple(r.items()) for r in relations))
+    if draw(st.booleans()):
+        units = [v for v in witt_space(ctx.index_set, Z4) if witt_unit_inverse(v) is not None]
+        ctx = ctx.scaled(draw(st.sampled_from(units)))
+    return B, ctx
+
+
+def test_groupoid_matches_brute_force():
+    # hypothesis is imported here so that the rest of the module runs without it
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        B, ctx = _draw_presentation(data.draw, st)
+        try:
+            expected = _brute_force_groupoid(B, ctx)
+        except PrismaticError as e:
+            with pytest.raises(PrismaticError, match=str(e)):
+                prismatic_points_affine(B, ctx)
+            return
+        gpd = prismatic_points_affine(B, ctx)
+        assert (gpd.objects, list(gpd.homs.items()), gpd.components) == (
+            expected[0], list(expected[1].items()), expected[2])
+
+    check()
