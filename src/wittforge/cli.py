@@ -25,6 +25,7 @@ from .filtration import (
 )
 from .indexset import IndexSet, IndexSetError, index_set_make
 from .prismatic import (
+    DEFAULT_POINT_CAP,
     AffinePresentation,
     PrismaticContext,
     PrismaticError,
@@ -392,7 +393,7 @@ def build_parser():
     sp.add_argument("--gens", required=True, help="generator names, comma separated")
     sp.add_argument("--relations", default="", help="relations, semicolon separated")
     sp.add_argument("--witt-points", action="store_true", help="points in W instead")
-    sp.add_argument("--budget-enum", type=int, default=200_000)
+    sp.add_argument("--budget-enum", type=int, default=DEFAULT_POINT_CAP)
     _common(sp)
     sp.set_defaults(fn=cmd_prismatic)
 
@@ -400,8 +401,8 @@ def build_parser():
     sp.add_argument("--suite", default="all")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--list", action="store_true", help="print the coverage map")
-    sp.add_argument("--budget-enum", type=int, default=200_000)
-    sp.add_argument("--budget-terms", type=int, default=150_000)
+    sp.add_argument("--budget-enum", type=int, default=Budget.enum_cap)
+    sp.add_argument("--budget-terms", type=int, default=Budget.term_cap)
     sp.add_argument("--timings", action="store_true", help="include wall times")
     _common(sp)
     sp.set_defaults(fn=cmd_verify)

@@ -78,9 +78,10 @@ class IndexSet:
 
     # -- derived sets ----------------------------------------------------------
     def restrict(self, n: int) -> "IndexSet":
-        """E|n, iterating E|p over the prime power decomposition of n."""
-        if n < 1:
-            raise IndexSetError("restriction index must be >= 1")
+        """E|n = {m : nm in E} for n in E, iterating E|p over the prime power
+        decomposition of n."""
+        if n not in self:
+            raise IndexSetError(f"{n} is not in the index set {self}")
         elems = set(self.elements)
         for p, r in factorize(n).items():
             for _ in range(r):

@@ -15,10 +15,15 @@ compose, so the result is a groupoid.
 It is the action groupoid of W^g on the objects: every a in W_E(R)^g is a
 morphism out of every object, to (w + xi*a, g + D(w, a, xi)), because
 f(w + xi*a) = xi * (g + D).  D(X, A+B, s) = D(X, A, s) + D(X+sA, B, s) holds
-over Z, so the action composes and the components are the orbits.  The hom
-sets therefore come from one walk over W^g per object, objects x |W|^g steps.
-The morphism budget refuses objects^2 > cap, which is not that cost: it keeps
-the same presentations refused (perfbench's points-enum checks that the
+over Z, so the action composes and the components are the orbits.  A
+PointGroupoid stores that action: act[i][a] is the index of the target of the
+a-th element of W^g out of object i.  The hom sets are derived from it, and
+the axioms are checked as the action law (0 fixes every object, -a undoes a,
+a then b is a + b) on tables of negation and addition over W^g.
+w + xi*a and D(w, a, xi) depend on w alone and the objects over one w are
+consecutive, so the walk steps each (w, a) once and adds g + D per object.
+The morphism budget refuses objects^2 > cap, which is not the walk's cost: it
+keeps the same presentations refused (perfbench's points-enum checks that the
 two-generator ones are), where a bound on objects x |W|^g would let some of
 them compute.
 """
@@ -26,6 +31,7 @@ them compute.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iter_product
 
 from .cone import Pi0, QuasiIdeal, cone_pi0
@@ -48,7 +54,6 @@ class AffinePresentation:
 
     generators: tuple
     relations: tuple = ()
-    koszul_regular: bool = True
 
     def __post_init__(self):
         ring = self.coordinate_ring()
@@ -209,43 +214,48 @@ def witt_points(B: AffinePresentation, E: IndexSet, ring: Ring, cap: int = DEFAU
 
 @dataclass
 class PointGroupoid:
+    """The action groupoid of W^g: alphas[a] sends object i to object act[i][a]."""
+
     wring: WittRing
     objects: list  # (w tuple of coord-tuples, gamma tuple of coord-tuples)
-    homs: dict  # (i, j) -> list of alpha tuples
+    alphas: list  # W^g in enumeration order: g-tuples of coord-tuples
+    act: list  # act[i][a]: index of the target of alphas[a] out of object i
     components: list  # pi0: lists of object indices
 
     def object_count(self):
         return len(self.objects)
 
+    @cached_property
+    def homs(self) -> dict:
+        """(i, j) -> the alphas from i to j; keys by i, then increasing j."""
+        out = {}
+        for i, row in enumerate(self.act):
+            by_target: dict = {}
+            for alpha, j in zip(self.alphas, row):
+                by_target.setdefault(j, []).append(alpha)
+            for j in sorted(by_target):
+                out[(i, j)] = by_target[j]
+        return out
+
     def hom(self, i, j):
         return self.homs.get((i, j), [])
 
     def morphism_count(self):
-        return sum(len(v) for v in self.homs.values())
-
-    def _compose(self, m1, m2):
-        return tuple(self.wring.add(x, y) for x, y in zip(m1, m2))
+        return len(self.objects) * len(self.alphas)
 
     def check_axioms(self) -> bool:
-        n = len(self.objects)
-        g = len(self.objects[0][0]) if self.objects else 0
-        identity = tuple(self.wring.zero() for _ in range(g))
-        for i in range(n):
-            if identity not in self.hom(i, i):
+        """The action law: 0 fixes every object, -a undoes a, and a then b is a + b."""
+        wring, alphas, act = self.wring, self.alphas, self.act
+        index = {alpha: a for a, alpha in enumerate(alphas)}
+        zero = index[tuple(wring.zero() for _ in alphas[0])]
+        neg = [index[tuple(map(wring.neg, alpha))] for alpha in alphas]
+        add = [[index[tuple(map(wring.add, x, y))] for y in alphas] for x in alphas]
+        for i, row in enumerate(act):
+            if row[zero] != i:
                 return False
-        for (i, j), ms in self.homs.items():
-            for m in ms:
-                inverse = tuple(self.wring.neg(a) for a in m)
-                if inverse not in self.hom(j, i):
+            for a, j in enumerate(row):
+                if act[j][neg[a]] != i or act[j] != [row[s] for s in add[a]]:
                     return False
-        for (i, j), ms1 in self.homs.items():
-            for (j2, k), ms2 in self.homs.items():
-                if j2 != j:
-                    continue
-                for m1 in ms1:
-                    for m2 in ms2:
-                        if self._compose(m1, m2) not in self.hom(i, k):
-                            return False
         return True
 
     def to_json(self):
@@ -303,8 +313,6 @@ def prismatic_points_affine(
     g = len(B.generators)
     if size is None or size**g > cap:
         raise EnumerationBudget("prismatic point search exceeds the budget")
-    if len(B.relations) > 1 and not B.koszul_regular:
-        raise PrismaticError("multiple relations need the Koszul-regularity assertion")
     xi = wring.wrap(ctx.xi)
     space = [v.coords for v in witt_space(ctx.index_set, ctx.ring)]
     xi_times = {c: wring.mul(xi, c) for c in space}
@@ -315,55 +323,37 @@ def prismatic_points_affine(
     rels = B.relation_intpolys()
     diffs = _difference_polys(B)
 
-    objects = []
-    for combo in iter_product(space, repeat=g):
-        vals = [f.evaluate(wring, list(combo)) for f in rels]
-        if any(v not in fibers for v in vals):
-            continue
-        for gammas in iter_product(*[fibers[v] for v in vals]) if rels else [()]:
-            objects.append((tuple(combo), tuple(gammas)))
+    # every w with a preimage of f(w), and the gamma tuples over it
+    over_w = []
+    for w in iter_product(space, repeat=g):
+        vals = [f.evaluate(wring, list(w)) for f in rels]
+        if all(v in fibers for v in vals):
+            over_w.append((w, list(iter_product(*[fibers[v] for v in vals]))))
+    objects = [(w, gam) for w, gammas in over_w for gam in gammas]
     if len(objects) ** 2 > cap:
         raise EnumerationBudget("morphism enumeration exceeds the budget")
 
-    _koszul_pair_check(rels, wring, objects, xi)
-
-    # one walk over W^g per object; an object first seen starts its orbit
+    # alpha sends (w, gamma) to (w + xi*alpha, gamma + D(w, alpha, xi)): all but
+    # the gamma sum depends on w alone, so it is stepped once per (w, alpha)
     index = {obj: i for i, obj in enumerate(objects)}
-    shifts = [(alpha, [xi_times[a] for a in alpha]) for alpha in iter_product(space, repeat=g)]
-    homs: dict = {}
+    alphas = list(iter_product(space, repeat=g))
+    act = []
+    for w, gammas in over_w:
+        steps = []
+        for alpha in alphas:
+            vals = list(w) + list(alpha) + [xi]
+            w2 = tuple(wring.add(a, xi_times[b]) for a, b in zip(w, alpha))
+            steps.append((w2, [d.evaluate(wring, vals) for d in diffs]))
+        for gam in gammas:
+            row = [index.get((w2, tuple(map(wring.add, gam, ds)))) for w2, ds in steps]
+            if None in row:
+                raise PrismaticError("the W^g action left the object set")
+            act.append(row)
+    # the orbit of an object not yet seen is a new component
     components = []
     seen = set()
-    for i, (w, gam) in enumerate(objects):
-        out: dict = {}
-        for alpha, xa in shifts:
-            vals = list(w) + list(alpha) + [xi]
-            target = (
-                tuple(wring.add(a, b) for a, b in zip(w, xa)),
-                tuple(wring.add(c, d.evaluate(wring, vals)) for c, d in zip(gam, diffs)),
-            )
-            j = index.get(target)
-            if j is None:
-                raise PrismaticError("the W^g action left the object set")
-            out.setdefault(j, []).append(alpha)
-        for j in sorted(out):
-            homs[(i, j)] = out[j]
+    for i, row in enumerate(act):
         if i not in seen:
-            seen.update(out)
-            components.append(sorted(out))
-    return PointGroupoid(wring, objects, homs, components)
-
-
-def _koszul_pair_check(rels, wring, objects, xi):
-    """Well-definedness of f_k -> g_k on the Koszul syzygies f_l f_k = f_k f_l."""
-    for w, gam in objects[: min(len(objects), 64)]:
-        vals = [f.evaluate(wring, list(w)) for f in rels]
-        for k in range(len(rels)):
-            for l in range(k + 1, len(rels)):
-                left = wring.mul(vals[l], gam[k])
-                right = wring.mul(vals[k], gam[l])
-                if left != right:
-                    raise PrismaticError(
-                        "syzygy inconsistency: the assigned preimages do not "
-                        "satisfy the quasi-ideal relation"
-                    )
-
+            seen.update(row)
+            components.append(sorted(set(row)))
+    return PointGroupoid(wring, objects, alphas, act, components)

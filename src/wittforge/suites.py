@@ -29,7 +29,7 @@ from .rings import (
     make_ring,
 )
 from .sparsepoly import IntPoly
-from .universal import _ghost_target, get_universal, integrality_report
+from .universal import DEFAULT_TERM_CAP, _ghost_target, get_universal, integrality_report
 from .witt import (
     WittRing,
     dwork_check,
@@ -55,7 +55,7 @@ from .witt import (
 @dataclass
 class Budget:
     enum_cap: int = 200_000
-    term_cap: int = 150_000
+    term_cap: int = DEFAULT_TERM_CAP
 
 
 @dataclass

@@ -330,6 +330,8 @@ def test_bad_index_set_exit_code(capsys):
         # refused by the morphism budget: 512 objects over W_{div:2}(Z/4)
         ["prismatic", "--ring", "zmod:4", "--index-set", "div:2", "--xi", "2,3", "--p", "2",
          "--gens", "x,y", "--relations", "1*x*y"],
+        # V_4 has no source over div:6: 4 is not in the index set
+        ["verschiebung", "--n", "4", "--ring", "integers", "--index-set", "div:6", "--a", "1,2"],
     ],
 )
 def test_malformed_input_exit_code(argv, capsys):

@@ -37,6 +37,9 @@ def test_restrict():
     E4 = IndexSet.p_typical(2, 2)
     assert E4.restrict(2).elements == (1, 2)
     assert E4.restrict(4).elements == (1,)
+    for n in (0, 4, 5):  # E/n is empty when n is not in E
+        with pytest.raises(IndexSetError):
+            E.restrict(n)
 
 
 def test_prime_to_and_p_part():

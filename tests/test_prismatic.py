@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import product as iter_product
 
 import pytest
@@ -10,7 +11,6 @@ from wittforge.prismatic import (
     PrismaticContext,
     PrismaticError,
     _difference_polys,
-    _koszul_pair_check,
     prismatic_points_affine,
     wbar_ring,
     witt_points,
@@ -133,6 +133,56 @@ def test_two_generator_refusals(relations):
 
 
 # ---------------------------------------------------------------------------
+# the action-law check against the hom-set check it replaced: every pair of
+# hom keys, one Witt addition per composable pair of morphisms
+
+
+def _hom_pair_axioms(gpd):
+    wring = gpd.wring
+    g = len(gpd.objects[0][0]) if gpd.objects else 0
+    identity = tuple(wring.zero() for _ in range(g))
+    for i in range(len(gpd.objects)):
+        if identity not in gpd.hom(i, i):
+            return False
+    for (i, j), ms in gpd.homs.items():
+        for m in ms:
+            inverse = tuple(wring.neg(a) for a in m)
+            if inverse not in gpd.hom(j, i):
+                return False
+    for (i, j), ms1 in gpd.homs.items():
+        for (j2, k), ms2 in gpd.homs.items():
+            if j2 != j:
+                continue
+            for m1 in ms1:
+                for m2 in ms2:
+                    if tuple(wring.add(x, y) for x, y in zip(m1, m2)) not in gpd.hom(i, k):
+                        return False
+    return True
+
+
+@pytest.mark.parametrize("corruption", ["identity moved", "targets swapped", "target redirected"])
+def test_action_law_rejects_corrupted_tables(corruption):
+    gpd = prismatic_points_affine(AffinePresentation(("x",), ("1*x^2+1",)), ctx_e2())
+    assert gpd.check_axioms() and _hom_pair_axioms(gpd)
+    row = gpd.act[0]
+    zero = gpd.alphas.index(tuple(gpd.wring.zero() for _ in gpd.alphas[0]))
+    a, b = next(
+        (a, b) for a in range(len(row)) for b in range(a) if zero not in (a, b) and row[a] != row[b]
+    )
+    edits = {
+        "identity moved": {zero: 1},
+        "targets swapped": {a: row[b], b: row[a]},
+        "target redirected": {a: next(j for j in range(gpd.object_count()) if j != row[a])},
+    }[corruption]
+    act = [list(r) for r in gpd.act]
+    for k, j in edits.items():
+        act[0][k] = j
+    bad = dataclasses.replace(gpd, act=act)  # a new instance: homs derive from the bad table
+    assert not bad.check_axioms()
+    assert not _hom_pair_axioms(bad)
+
+
+# ---------------------------------------------------------------------------
 # the action-groupoid walk against a brute-force oracle: every pair of
 # objects, every alpha in the fibre product, and a union-find for pi0
 
@@ -155,7 +205,6 @@ def _brute_force_groupoid(B, ctx):
             continue
         for gammas in iter_product(*[fibers[v] for v in vals]) if rels else [()]:
             objects.append((tuple(combo), tuple(gammas)))
-    _koszul_pair_check(rels, wring, objects, xi)
 
     homs: dict = {}
     for i, (w, gam) in enumerate(objects):
@@ -222,6 +271,7 @@ def test_groupoid_matches_brute_force():
                 prismatic_points_affine(B, ctx)
             return
         gpd = prismatic_points_affine(B, ctx)
+        assert gpd.check_axioms()
         assert (gpd.objects, list(gpd.homs.items()), gpd.components) == (
             expected[0], list(expected[1].items()), expected[2])
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wittforge.indexset import IndexSet
+from wittforge.indexset import IndexSet, IndexSetError
 from wittforge.rings import (
     INTEGERS,
     RATIONALS,
@@ -123,6 +123,15 @@ def test_verschiebung():
     for _ in range(50):
         c = random_witt(E2.restrict(2), z9, rng)
         assert frobenius(2, verschiebung(2, c, E2)) == witt_from_int(2, E2.restrict(2), z9) * c
+
+
+def test_verschiebung_outside_index_set():
+    # E/4 is empty for E = div:6, so V_4 has no source to take a vector from
+    E6 = IndexSet.divisors_of(6)
+    for source in (IndexSet.explicit([1, 3]), E6):
+        a = make_witt(source, INTEGERS, [1] * len(source))
+        with pytest.raises(IndexSetError):
+            verschiebung(4, a, E6)
 
 
 def test_frobenius_verschiebung_identities_at_larger_index_sets():
