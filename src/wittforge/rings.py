@@ -89,6 +89,19 @@ class Ring:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
+    def pow(self, a, k: int):
+        """a^k for k >= 0 by square-and-multiply from a, so one() is never a factor."""
+        if not k:
+            return self.one()
+        result = None
+        while True:
+            if k & 1:
+                result = a if result is None else self.mul(result, a)
+            k >>= 1
+            if not k:
+                return result
+            a = self.mul(a, a)
+
     def canonicalize(self, a):
         """Renormalize a possibly non-canonical raw value."""
         return a
@@ -102,7 +115,20 @@ class Ring:
         raise NotImplementedError
 
     def nilpotent_index(self, a):
-        """Return least k >= 1 with a^k = 0, or None if a is not nilpotent."""
+        """Return least k >= 1 with a^k = 0, or None if a is not nilpotent.
+
+        a, a^2, ... are tested up to _nilpotency_bound(a), which a nilpotent
+        a's index never exceeds.
+        """
+        bound, zero = self._nilpotency_bound(a), self.zero()
+        power, k = a, 1
+        while power != zero:
+            if k >= bound:
+                return None
+            power, k = self.mul(power, a), k + 1
+        return k
+
+    def _nilpotency_bound(self, a) -> int:
         raise NotImplementedError
 
     def lift(self):
@@ -193,14 +219,7 @@ class RingElement:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers only via unit inverses")
-        result = RingElement(self.ring, self.ring.one())
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return RingElement(self.ring, self.ring.pow(self.value, n))
 
     def __eq__(self, other):
         if isinstance(other, RingElement):
@@ -248,6 +267,9 @@ class IntegerRing(Ring):
     def mul(self, a, b):
         return a * b
 
+    def pow(self, a, k):
+        return a**k
+
     def exact_div_int(self, a, n):
         if n == 0:
             raise InexactDivision("division by zero")
@@ -262,8 +284,8 @@ class IntegerRing(Ring):
     def lift(self):
         return self, _same
 
-    def nilpotent_index(self, a):
-        return 1 if a == 0 else None
+    def _nilpotency_bound(self, a):
+        return 1
 
     def random(self, rng):
         return rng.randint(-20, 20)
@@ -300,6 +322,9 @@ class RationalRing(Ring):
     def mul(self, a, b):
         return a * b
 
+    def pow(self, a, k):
+        return a**k
+
     def exact_div_int(self, a, n):
         if n == 0:
             raise InexactDivision("division by zero")
@@ -311,8 +336,8 @@ class RationalRing(Ring):
     def lift(self):
         return self, _same
 
-    def nilpotent_index(self, a):
-        return 1 if a == 0 else None
+    def _nilpotency_bound(self, a):
+        return 1
 
     def random(self, rng):
         return Fraction(rng.randint(-12, 12), rng.randint(1, 9))
@@ -357,6 +382,9 @@ class ZModRing(Ring):
     def mul(self, a, b):
         return (a * b) % self.n
 
+    def pow(self, a, k):
+        return pow(a, k, self.n)
+
     def canonicalize(self, a):
         return a % self.n
 
@@ -372,18 +400,9 @@ class ZModRing(Ring):
     def lift(self):
         return INTEGERS, self.canonicalize
 
-    def nilpotent_index(self, a):
-        # if a is nilpotent mod N its index is at most max_p v_p(N) <= bitlength
-        x = a % self.n
-        if x == 0:
-            return 1
-        k = 1
-        for _ in range(self.n.bit_length()):
-            x = (x * (a % self.n)) % self.n
-            k += 1
-            if x == 0:
-                return k
-        return None
+    def _nilpotency_bound(self, a):
+        # a nilpotent a mod N has index at most max_p v_p(N) <= log2 N
+        return self.n.bit_length() - 1
 
     def size(self):
         return self.n
@@ -640,24 +659,17 @@ class PolyRing(Ring):
             return None
         return self.monomial(tuple(-e for e in exps), cinv)
 
-    def nilpotent_index(self, a):
-        if not a:
-            return 1
-        bounds = []
+    def _nilpotency_bound(self, a):
+        # a polynomial is nilpotent iff every coefficient is, and if each
+        # coefficient has index k_i its index is at most sum(k_i - 1) + 1, by
+        # pigeonhole on monomial products
+        total = 1
         for _, c in a:
             k = self.base.nilpotent_index(c)
             if k is None:
-                return None
-            bounds.append(k)
-        # if each coefficient has index <= k_i the polynomial's index is at
-        # most sum(k_i - 1) + 1, by pigeonhole on monomial products
-        cap = sum(k - 1 for k in bounds) + 1
-        power = self.one()
-        for k in range(1, cap + 1):
-            power = self.mul(power, a)
-            if not power:
-                return k
-        return None
+                return 0
+            total += k - 1
+        return total
 
     def random(self, rng):
         acc = {}
@@ -833,18 +845,14 @@ class QuotientRing(Ring):
             g, _ = _gcd_cofactor(base, g, _dense(base, v))
         return QuotientRing(self.poly, _sparse(base, g))
 
-    def nilpotent_index(self, a):
-        if a == self.zero():
-            return 1
+    def _nilpotency_bound(self, a):
+        # for nilpotent a the ideals a^k R shrink strictly until they are 0;
+        # R has length degree * v_p(N) <= degree * (N.bit_length() - 1) at
+        # each p | N, and Z[t]/(g) embeds in Q[t]/(g), of length degree
         base = self.poly.base
-        base_cap = 1 if isinstance(base, (IntegerRing, RationalRing)) else base.n.bit_length()
-        cap = self.degree + base_cap + 1
-        power = self.one()
-        for k in range(1, cap + 1):
-            power = self.mul(power, a)
-            if power == self.zero():
-                return k
-        return None
+        if isinstance(base, ZModRing):
+            return self.degree * (base.n.bit_length() - 1)
+        return self.degree
 
     def size(self):
         if self.degree == 0:
@@ -884,11 +892,11 @@ class QuotientRing(Ring):
     def el_from_str(self, s):
         # t^e by repeated squaring: a literal's exponent is unbounded, and one
         # division would hold a dense slot for every degree below it
-        t = self.elem(self.variable(self.poly.variables[0]))
-        out = self.elem(self.zero())
+        t = self.variable(self.poly.variables[0])
+        out = self.zero()
         for (e,), c in self.poly.el_from_str(s):
-            out = out + t**e * self.elem(self.reduce(self.poly.constant(c)))
-        return out.value
+            out = self.add(out, self.mul(self.pow(t, e), self.reduce(self.poly.constant(c))))
+        return out
 
 
 # ---------------------------------------------------------------------------

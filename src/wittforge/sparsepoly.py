@@ -256,32 +256,19 @@ class IntPoly:
     def evaluate(self, ring, values):
         """Evaluate in a Ring, given raw values for the variables.
 
-        Power maps are cached per variable so repeated exponents are cheap.
+        Each power values[i]^e comes from ring.pow once and is cached under
+        (i, e) for the other terms.
         """
-        powers = [dict() for _ in range(self.nvars)]
-
-        def vp(i, e):
-            cache = powers[i]
-            if e in cache:
-                return cache[e]
-            if e == 0:
-                r = ring.one()
-            elif e == 1:
-                r = values[i]
-            else:
-                half = vp(i, e // 2)
-                r = ring.mul(half, half)
-                if e & 1:
-                    r = ring.mul(r, values[i])
-            cache[e] = r
-            return r
-
+        powers: dict = {}
         total = ring.zero()
         for exps, c in self.terms.items():
             term = ring.from_int(c)
             for i, e in enumerate(exps):
                 if e:
-                    term = ring.mul(term, vp(i, e))
+                    v = powers.get((i, e))
+                    if v is None:
+                        v = powers[i, e] = ring.pow(values[i], e)
+                    term = ring.mul(term, v)
             total = ring.add(total, term)
         return total
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 from dataclasses import dataclass, field
 
 from .indexset import IndexSet
@@ -247,7 +246,6 @@ def generate_universal_polynomials(
 
 
 _MEM: dict = {}
-_LOCK = threading.Lock()
 
 
 def _cache_path(E: IndexSet, op: str):
@@ -258,13 +256,13 @@ def _cache_path(E: IndexSet, op: str):
     return os.path.join(root, fname)
 
 
-def get_universal(E: IndexSet, op: str, term_cap: int = DEFAULT_TERM_CAP) -> UniversalEntry:
+def get_universal(E: IndexSet, op: str) -> UniversalEntry:
+    """The family (E, op) at the default term cap, from memory, disk or generation."""
     key = (E.key(), op)
-    with _LOCK:
-        if key in _MEM:
-            return _MEM[key]
+    entry = _MEM.get(key)
+    if entry is not None:
+        return entry
     path = _cache_path(E, op)
-    entry = None
     if path and os.path.exists(path):
         try:
             with open(path) as fh:
@@ -274,23 +272,19 @@ def get_universal(E: IndexSet, op: str, term_cap: int = DEFAULT_TERM_CAP) -> Uni
         except (OSError, ValueError, KeyError):
             entry = None
     if entry is None:
-        entry = generate_universal_polynomials(E, op, term_cap)
+        entry = generate_universal_polynomials(E, op)
         if path:
             os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
             tmp = path + ".tmp"
             with open(tmp, "w") as fh:
                 fh.write(json.dumps(entry.to_json()))
             os.replace(tmp, path)
-    with _LOCK:
-        # two racing generators produce identical entries; first write wins
-        if key not in _MEM:
-            _MEM[key] = entry
-        return _MEM[key]
+    # two racing generators produce identical entries; first write wins
+    return _MEM.setdefault(key, entry)
 
 
 def clear_memory_cache():
-    with _LOCK:
-        _MEM.clear()
+    _MEM.clear()
 
 
 def integrality_report(specs, ops=("sum", "product", "negation"), term_cap=DEFAULT_TERM_CAP):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 
 from .indexset import IndexSet
-from .numutil import divisors, valuation
+from .numutil import divisors, factorize, valuation
 from .rings import (
     INTEGERS,
     InexactDivision,
@@ -216,30 +216,18 @@ def _plan(E: IndexSet) -> _Plan:
     return plan
 
 
-def _pow(mul, x, k):
-    """x^k for k >= 1 by repeated squaring."""
-    result = None
-    while k:
-        if k & 1:
-            result = x if result is None else mul(result, x)
-        k >>= 1
-        if k:
-            x = mul(x, x)
-    return result
-
-
-def _powers(mul, x, chain):
+def _powers(ring: Ring, x, chain):
     """{e: x^e} for e = 1 and every exponent of the chain."""
     pw = {1: x}
     for e, f, k in chain:
-        pw[e] = _pow(mul, pw[f], k)
+        pw[e] = ring.pow(pw[f], k)
     return pw
 
 
 def _ghost(plan: _Plan, ring: Ring, xs) -> list:
     """g_n(x) = sum_{d|n} d * x_d^(n/d) for every n in E, in index order."""
     mul, add, from_int = ring.mul, ring.add, ring.from_int
-    pows = [_powers(mul, x, chain) for x, chain in zip(xs, plan.chain)]
+    pows = [_powers(ring, x, chain) for x, chain in zip(xs, plan.chain)]
     out = []
     for n, x, terms in zip(plan.elements, xs, plan.lower):
         total = x if n == 1 else mul(from_int(n), x)
@@ -264,7 +252,7 @@ def _unghost(plan: _Plan, ring: Ring, w) -> list:
             acc = sub(acc, v if d == 1 else mul(from_int(d), v))
         x = acc if n == 1 else ring.exact_div_int(acc, n)
         xs.append(x)
-        pows.append(_powers(mul, x, chain))
+        pows.append(_powers(ring, x, chain))
     return xs
 
 
@@ -328,18 +316,12 @@ def dwork_check(w: dict, E: IndexSet) -> bool:
         if not isinstance(w[n], int):
             raise WittError("dwork_check expects integer entries")
     for n in E:
-        for p in _prime_factors(n):
+        for p in factorize(n):
             m = n // p
             modulus = p ** (1 + (valuation(m, p) if m % p == 0 else 0))
             if (w[n] - w[m]) % modulus:
                 return False
     return True
-
-
-def _prime_factors(n):
-    from .numutil import factorize
-
-    return list(factorize(n)) if n > 1 else []
 
 
 def unghost(w: dict, E: IndexSet, ring: Ring) -> WittVector:
@@ -446,8 +428,8 @@ def witt_solve_mul(a: WittVector, target: WittVector):
             known = S.exact_div_int(sub(mul(g, gb), csum), n)
         b = ring.mul(inv, ring.sub(t, reduce(known)))
         bs.append(b)
-        b_pows.append(_powers(mul, b, chain))
-        c_pows.append(_powers(mul, add(known, mul(g, b)), chain))
+        b_pows.append(_powers(S, b, chain))
+        c_pows.append(_powers(S, add(known, mul(g, b)), chain))
     return WittVector(E, ring, tuple(bs))
 
 

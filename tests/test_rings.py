@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from wittforge.indexset import index_set_make
 from wittforge.rings import (
     INTEGERS,
     RATIONALS,
@@ -16,6 +18,7 @@ from wittforge.rings import (
     exact_div,
     make_ring,
 )
+from wittforge.witt import WittRing
 
 
 def test_parse_basic():
@@ -204,3 +207,110 @@ def test_quotient_literal_with_large_exponent():
     # division step per degree
     q = make_ring("quot(poly(rationals; t); 1*t^3+-1)")
     assert q("1*t^1000000001+2") == q("1*t^2+2")
+
+
+# -- powers and nilpotence against independent slow paths ----------------------
+
+
+def _cycle_nilpotent_index(ring, a):
+    """Least k >= 1 with a^k = 0, or None once the powers of a repeat (finite rings)."""
+    seen, power, k = set(), a, 1
+    while power != ring.zero():
+        if power in seen:
+            return None
+        seen.add(power)
+        power, k = ring.mul(power, a), k + 1
+    return k
+
+
+POW_RINGS = [
+    make_ring(desc)
+    for desc in (
+        "integers",
+        "rationals",
+        "zmod:12",
+        "poly(zmod:4; x)",
+        "poly(integers; x,y; inv x)",
+        "poly(rationals; x; inv x)",
+        "quot(poly(rationals; t); 1*t^3)",
+        "quot(poly(zmod:8; t); 1*t^3+2*t)",
+        "quot(poly(integers; t); 1*t^2+1)",
+    )
+] + [WittRing(index_set_make("div:2"), make_ring("zmod:4"))]
+
+
+@pytest.mark.parametrize("ring", POW_RINGS, ids=repr)
+def test_pow_is_repeated_mul(ring):
+    rng = random.Random(3)
+    for _ in range(20):
+        a = ring.canonicalize(ring.random(rng))
+        power = ring.one()
+        for k in range(9):
+            assert ring.pow(a, k) == power, (ring.el_to_str(a), k)
+            assert (ring.elem(a) ** k).value == power
+            power = ring.mul(power, a)
+
+
+def test_pow_fixed_cases():
+    assert INTEGERS.pow(-2, 5) == -32 and INTEGERS.pow(7, 0) == 1
+    assert RATIONALS.pow(Fraction(2, 3), 3) == Fraction(8, 27)
+    assert make_ring("zmod:12").pow(5, 2) == 1
+    zx = make_ring("poly(integers; x)")
+    assert zx.pow(zx.el_from_str("1*x+1"), 2) == zx.el_from_str("1*x^2+2*x+1")
+    q = make_ring("quot(poly(rationals; t); 1*t^3)")
+    assert q.pow(q.el_from_str("1+1*t"), 3) == q.el_from_str("1+3*t+3*t^2")
+    assert q.pow(q.variable("t"), 0) == q.one()
+
+
+def test_nilpotent_index_every_residue():
+    for n in range(2, 65):
+        ring = make_ring(f"zmod:{n}")
+        for a in ring.elements():
+            assert ring.nilpotent_index(a) == _cycle_nilpotent_index(ring, a), (n, a)
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        "quot(poly(zmod:4; t); 1*t^2)",
+        "quot(poly(zmod:8; t); 1*t^3+2*t)",
+        # t is a uniformizer of Z_2[sqrt(-2)], so its index is 2 * v_2(N):
+        # 4 and 10, each equal to the search bound
+        "quot(poly(zmod:4; t); 1*t^2+2)",
+        "quot(poly(zmod:32; t); 1*t^2+2)",
+    ],
+)
+def test_nilpotent_index_every_quotient_element(desc):
+    ring = make_ring(desc)
+    for a in ring.elements():
+        assert ring.nilpotent_index(a) == _cycle_nilpotent_index(ring, a), ring.el_to_str(a)
+
+
+def test_nilpotent_index_poly_zmod4_samples():
+    # over Z/4 a polynomial is nilpotent iff every coefficient is even, and
+    # then (2f)^2 = 4f^2 = 0
+    ring = make_ring("poly(zmod:4; x)")
+    rng = random.Random(9)
+    for _ in range(300):
+        a = ring.canonicalize(ring.random(rng))
+        if rng.random() < 0.5:
+            a = ring.canonicalize(tuple((e, 2 * c) for e, c in a))
+        expected = 1 if not a else 2 if all(c % 2 == 0 for _, c in a) else None
+        assert ring.nilpotent_index(a) == expected, ring.el_to_str(a)
+
+
+def test_nilpotent_index_fixed_cases():
+    assert INTEGERS.nilpotent_index(0) == 1
+    assert INTEGERS.nilpotent_index(-3) is None
+    assert RATIONALS.nilpotent_index(Fraction(0)) == 1
+    assert RATIONALS.nilpotent_index(Fraction(1, 2)) is None
+    zx = make_ring("poly(integers; x)")
+    assert zx.nilpotent_index(zx.zero()) == 1
+    for s in ("1*x", "2", "2*x+-1"):
+        assert zx.nilpotent_index(zx.el_from_str(s)) is None
+    q = make_ring("quot(poly(rationals; t); 1*t^3)")
+    cases = {"0": 1, "1*t": 3, "1*t^2": 2, "2*t+1*t^2": 3, "1/2*t^2": 2, "1": None, "1+1*t": None}
+    for s, k in cases.items():
+        assert q.nilpotent_index(q.el_from_str(s)) == k, s
+    q32 = make_ring("quot(poly(zmod:32; t); 1*t^2+2)")
+    assert q32.nilpotent_index(q32.variable("t")) == 10

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import sys
 import threading
 
 import pytest
@@ -99,12 +100,20 @@ def test_concurrent_generation_idempotent():
     def worker():
         results.append(get_universal(E, "product"))
 
+    # more threads than cores, switching often, so get_universal's check and
+    # its first-write-wins store interleave
     threads = [threading.Thread(target=worker) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(r is results[0] for r in results)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4 and all(r is results[0] for r in results)
 
 
 def test_intpoly_engine():
