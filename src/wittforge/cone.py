@@ -49,9 +49,6 @@ class Module:
     def scalar(self, r, x):
         raise NotImplementedError
 
-    def eq(self, x, y):
-        return x == y
-
     def generators(self):
         raise NotImplementedError
 
@@ -220,7 +217,7 @@ def quasi_ideal_check(q: QuasiIdeal):
         for y in gens[i + 1 :]:
             left = q.module.scalar(q.d(y), x)
             right = q.module.scalar(q.d(x), y)
-            if not q.module.eq(left, right):
+            if left != right:
                 return False, (x, y)
     return True, None
 
@@ -280,6 +277,7 @@ class Pi0:
     image: frozenset | None = None
     classes: list | None = None
     quotient_ring: Ring | None = None
+    index: dict | None = None  # element -> position of its class in classes
 
     def size(self):
         if self.kind == "cosets":
@@ -290,10 +288,10 @@ class Pi0:
     def class_of(self, r):
         if self.kind != "cosets":
             raise ConeError("structured quotient: use the quotient ring map")
-        for i, rep in enumerate(self.classes):
-            if self.ring.sub(r, rep) in self.image:
-                return i
-        raise ConeError("value outside the enumerated ring")
+        i = self.index.get(r)
+        if i is None:
+            raise ConeError("value outside the enumerated ring")
+        return i
 
 
 def cone_pi0(q: QuasiIdeal) -> Pi0:
@@ -303,13 +301,14 @@ def cone_pi0(q: QuasiIdeal) -> Pi0:
     if ring.size() is not None:
         image = _ideal(ring, dvals)
         classes = []
-        covered = set()
+        index = {}
         for r in ring.elements():
-            if r in covered:
+            if r in index:
                 continue
+            i = len(classes)
             classes.append(r)
-            covered.update(ring.add(r, x) for x in image)
-        return Pi0("cosets", ring, image=image, classes=classes)
+            index.update((ring.add(r, x), i) for x in image)
+        return Pi0("cosets", ring, image=image, classes=classes, index=index)
     if isinstance(ring, IntegerRing):
         g = gcd(*dvals)
         if g == 0:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product as iter_product
 
-from .cone import QuasiIdeal, cone_pi0, quasi_ideal_check
+from .cone import QuasiIdeal, cone_pi0
 from .filtration import (
     FilteredModule,
     ReesModule,
@@ -214,7 +214,4 @@ def rees_package(H: HodgeFilteredCohomology) -> dict:
 def gadr_points(ring, eta):
     """Cone(eta: R*e -> R): quasi-ideal, pi0 = R/(eta), cone-level handle."""
     q = QuasiIdeal.rank_one(ring, eta)
-    ok, _ = quasi_ideal_check(q)
-    if not ok:
-        raise DeRhamError("rank-one maps always satisfy the quasi-ideal law")
     return {"quasi_ideal": q, "pi0": cone_pi0(q)}

@@ -116,9 +116,6 @@ class Subspace:
     def contains(self, other: "Subspace"):
         return all(self.contains_vector(r) for r in other.basis)
 
-    def add(self, other: "Subspace"):
-        return Subspace.span(self.ambient, list(self.basis) + list(other.basis))
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
@@ -290,6 +287,10 @@ class ReesModule:
     pieces: dict = field(compare=False)
     below: str = "zero"
     t_override: dict | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.below not in ("zero", "constant"):
+            raise FiltrationError(f"bad below flag {self.below!r}")
 
     def piece(self, d: int) -> Subspace:
         if d > self.hi_deg:

@@ -150,14 +150,10 @@ class WbarModel:
         return True
 
     def _pi0_nilpotent(self, cls_index: int, zero_cls: int) -> bool:
-        wr = self.context.witt_ring
-        rep = self.pi0.classes[cls_index]
-        power = rep
-        for _ in range(len(self.pi0.classes) + 1):
-            if self.pi0.class_of(power) == zero_cls:
-                return True
-            power = wr.mul(power, rep)
-        return False
+        # pi0 is a finite ring: a nilpotent class has index <= log2 |pi0|
+        bound = len(self.pi0.classes).bit_length() - 1
+        power = self.context.witt_ring.pow(self.pi0.classes[cls_index], bound)
+        return self.pi0.class_of(power) == zero_cls
 
     def kernel_squares_into_ideal(self) -> bool:
         """Every pi0-kernel class has square zero in pi0 (VW^2 inside (xi))."""

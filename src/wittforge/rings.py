@@ -129,7 +129,12 @@ class Ring:
         return k
 
     def _nilpotency_bound(self, a) -> int:
-        raise NotImplementedError
+        # a nilpotent a of index k gives the strict chain of additive groups
+        # R > aR > ... > a^k R = 0, so 2^k <= |R|
+        size = self.size()
+        if size is None:
+            raise UnsupportedRing(f"no nilpotency bound for {self.descriptor()}")
+        return size.bit_length() - 1
 
     def lift(self):
         """(S, reduce): a ring S without additive torsion that maps onto this one.
@@ -399,10 +404,6 @@ class ZModRing(Ring):
 
     def lift(self):
         return INTEGERS, self.canonicalize
-
-    def _nilpotency_bound(self, a):
-        # a nilpotent a mod N has index at most max_p v_p(N) <= log2 N
-        return self.n.bit_length() - 1
 
     def size(self):
         return self.n

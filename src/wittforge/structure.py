@@ -10,7 +10,7 @@ carrying the twisted Verschiebung cannot have a global generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .indexset import IndexSet
 from .numutil import factorize, is_prime
@@ -46,7 +46,7 @@ class EnumerationBudget(WittError):
 
 @dataclass(frozen=True)
 class LocalContext:
-    """Base data for p-local predicates: explicit inverses of the other primes.
+    """Base data for p-local predicates: every prime of E other than p is a unit.
 
     p is None in the rational case, where every prime of E is inverted.
     """
@@ -54,26 +54,16 @@ class LocalContext:
     p: int | None
     ring: Ring
     index_set: IndexSet
-    inverses: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.p is not None and not is_prime(self.p):
             raise ContextError(f"{self.p} is not prime")
-        need = [q for q in self.index_set.primes() if q != self.p]
-        one = self.ring.one()
-        filled = dict(self.inverses)
-        for q in need:
-            if q not in filled:
-                inv = self.ring.int_unit_inverse(q)
-                if inv is None:
-                    raise ContextError(
-                        f"{q} is not invertible in {self.ring.descriptor()}; "
-                        f"no p-local context at p={self.p}"
-                    )
-                filled[q] = inv
-            if self.ring.mul(self.ring.from_int(q), filled[q]) != one:
-                raise ContextError(f"bad certificate: {q} * {filled[q]} != 1")
-        object.__setattr__(self, "inverses", filled)
+        for q in self.index_set.primes():
+            if q != self.p and self.ring.int_unit_inverse(q) is None:
+                raise ContextError(
+                    f"{q} is not invertible in {self.ring.descriptor()}; "
+                    f"no p-local context at p={self.p}"
+                )
 
     @classmethod
     def p_local(cls, p: int, ring: Ring, E: IndexSet) -> "LocalContext":
@@ -85,16 +75,6 @@ class LocalContext:
 
     def is_rational(self):
         return self.p is None
-
-    def integer_inverse(self, n: int):
-        """Inverse of n in the ring, for n a product of the inverted primes."""
-        out = self.ring.one()
-        for q, r in factorize(n).items():
-            if q == self.p:
-                raise ContextError(f"{q} is not inverted in this context")
-            for _ in range(r):
-                out = self.ring.mul(out, self.inverses[q])
-        return out
 
     def e_prime_to(self) -> IndexSet:
         return self.index_set if self.p is None else self.index_set.prime_to(self.p)
@@ -214,9 +194,9 @@ def local_recompose(d: DecomposedWitt, ctx: LocalContext) -> WittVector:
 
     Coordinates are recovered in increasing order: for m = n p^j with n prime
     to p, the Frobenius coordinate (F_n a)_{p^j} equals n * a_m plus terms in
-    lower coordinates, and n is invertible by the context certificate.  The
-    lower terms are F_n of the partial vector, whose coordinates from m on
-    are still zero.
+    lower coordinates, and n is a unit: its primes are those the context
+    inverts.  The lower terms are F_n of the partial vector, whose
+    coordinates from m on are still zero.
     """
     E, ring = ctx.index_set, ctx.ring
     coords = [ring.zero()] * len(E)
@@ -230,7 +210,7 @@ def local_recompose(d: DecomposedWitt, ctx: LocalContext) -> WittVector:
         target = d.factor(n).coord_raw(pj)
         known = frobenius(n, WittVector(E, ring, tuple(coords))).coord_raw(pj)
         residual = ring.sub(target, known)
-        coords[i] = ring.mul(ctx.integer_inverse(n), residual) if n > 1 else residual
+        coords[i] = ring.mul(ring.int_unit_inverse(n), residual) if n > 1 else residual
     return WittVector(E, ring, tuple(coords))
 
 

@@ -210,7 +210,7 @@ def _random_eval_check(E, op, n, polys, rng):
 
 
 def generate_universal_polynomials(
-    E: IndexSet, op: str, term_cap: int = DEFAULT_TERM_CAP, rng=None
+    E: IndexSet, op: str, term_cap: int = DEFAULT_TERM_CAP
 ) -> UniversalEntry:
     """Generate one family, materializing levels up to term_cap.
 
@@ -219,7 +219,7 @@ def generate_universal_polynomials(
     """
     import random
 
-    rng = rng or random.Random(20210 + len(E))
+    rng = random.Random(20210 + len(E))
     names = _var_names(E, op)
     levels = _family_levels(E, op)
     nvars = len(names)

@@ -318,7 +318,7 @@ def dwork_check(w: dict, E: IndexSet) -> bool:
     for n in E:
         for p in factorize(n):
             m = n // p
-            modulus = p ** (1 + (valuation(m, p) if m % p == 0 else 0))
+            modulus = p ** (1 + valuation(m, p))
             if (w[n] - w[m]) % modulus:
                 return False
     return True
@@ -521,20 +521,6 @@ class WittRing(Ring):
     def unit_inverse(self, a):
         b = witt_unit_inverse(self.unwrap(a))
         return None if b is None else b.coords
-
-    def nilpotent_index(self, a):
-        if self.size() is None:
-            raise UnsupportedRing("nilpotence in W(R) needs a finite R")
-        seen = set()
-        power = a
-        k = 1
-        while power not in seen:
-            if power == self.zero():
-                return k
-            seen.add(power)
-            power = self.mul(power, a)
-            k += 1
-        return None
 
     def size(self):
         return witt_space_size(self.E, self.coeff)

@@ -91,6 +91,45 @@ def test_pi0_witt_coefficients():
     assert len(p.classes) * len(p.image) == 16
 
 
+def _scan_class_of(p, r):
+    """Slow oracle: the first class whose representative differs from r by an element of im d."""
+    for i, rep in enumerate(p.classes):
+        if p.ring.sub(r, rep) in p.image:
+            return i
+    raise ConeError("value outside the enumerated ring")
+
+
+def _class_of_cases():
+    z4, z12 = make_ring("zmod:4"), make_ring("zmod:12")
+    W2 = WittRing(IndexSet.divisors_of(2), z4)
+    W124 = WittRing(IndexSet.p_typical(2, 2), z4)
+    return [
+        (QuasiIdeal.rank_one(W2, (2, 3)), [(0, 4), (0, 0, 0)]),
+        (QuasiIdeal.rank_one(W124, (2, 1, 0)), [(0, 0, 4), (0, 0)]),
+        (QuasiIdeal(z12, FreeModule(z12, 2), [4, 6]), [12, -1]),
+    ]
+
+
+@pytest.mark.parametrize("q,outside", _class_of_cases(), ids=["W2(Z4)", "W124(Z4)", "Z12"])
+def test_pi0_class_of_matches_coset_scan(q, outside):
+    p = cone_pi0(q)
+    for r in q.ring.elements():
+        assert p.class_of(r) == _scan_class_of(p, r), r
+    for r in outside:
+        with pytest.raises(ConeError):
+            p.class_of(r)
+
+
+def test_ideal_module_over_finite_ring():
+    z12 = make_ring("zmod:12")
+    q = QuasiIdeal.from_ideal(z12, [4])
+    assert list(q.module.elements()) == [0, 4, 8]
+    assert q.module.size() == 3
+    assert cone_hom_set(q, 0, 4) == [4]
+    assert cone_hom_set(q, 0, 1) == []
+    assert cone_pi0(q).size() == 4
+
+
 def test_hom_sets():
     q = QuasiIdeal.rank_one(INTEGERS, 2)
     assert cone_hom_set(q, 0, 4) == [(2,)]

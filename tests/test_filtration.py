@@ -140,6 +140,13 @@ def test_equal_modules_hash_equal():
     assert RM == RN and len({RM, RN}) == 1
 
 
+def test_bad_tail_flags_are_typed():
+    with pytest.raises(FiltrationError):
+        FilteredModule(1, 0, 0, {0: Subspace.full(1)}, "zeroo")
+    with pytest.raises(FiltrationError):
+        ReesModule(1, 0, 0, {0: Subspace.full(1)}, "zeroo")
+
+
 def test_mismatched_ambient_is_typed():
     with pytest.raises(FiltrationError):
         step_filtration([Subspace.full(3), Subspace.full(2)])

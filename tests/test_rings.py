@@ -314,3 +314,35 @@ def test_nilpotent_index_fixed_cases():
         assert q.nilpotent_index(q.el_from_str(s)) == k, s
     q32 = make_ring("quot(poly(zmod:32; t); 1*t^2+2)")
     assert q32.nilpotent_index(q32.variable("t")) == 10
+
+
+WITT_NIL_RINGS = [
+    ("div:2", "zmod:4"),
+    ("ptyp:2:2", "zmod:4"),
+    ("div:2", "zmod:9"),
+    ("ptyp:3:1", "zmod:9"),
+    ("div:2", "zmod:8"),
+    ("div:6", "zmod:2"),
+    # W_{div:2}(Z/2) = Z/4 and W_{ptyp:2:2}(Z/2) = Z/8: 2 has index
+    # log2 |W|, the search bound
+    ("div:2", "zmod:2"),
+    ("ptyp:2:2", "zmod:2"),
+]
+
+
+@pytest.mark.parametrize("E,coeff", WITT_NIL_RINGS)
+def test_witt_nilpotent_index_every_element(E, coeff):
+    W = WittRing(index_set_make(E), make_ring(coeff))
+    indices = []
+    for a in W.elements():
+        k = W.nilpotent_index(a)
+        assert k == _cycle_nilpotent_index(W, a), W.el_to_str(a)
+        indices.append(k or 0)
+    if coeff == "zmod:2" and E != "div:6":
+        assert max(indices) == W.size().bit_length() - 1
+
+
+def test_witt_nilpotent_index_needs_finite_ring():
+    W = WittRing(index_set_make("div:2"), INTEGERS)
+    with pytest.raises(UnsupportedRing):
+        W.nilpotent_index(W.zero())

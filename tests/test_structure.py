@@ -55,15 +55,12 @@ def test_wf_annihilator_equivalence():
 
 
 def test_local_context_certificates():
-    ctx = LocalContext.p_local(3, Z9, E6)
-    assert ctx.inverses[2] == 5
+    LocalContext.p_local(3, Z9, E6)
     # 3 is invertible mod 4, so the 2-local context over Z/4 exists
     LocalContext.p_local(2, Z4, E6)
     # over Z/6 neither 2 nor 3 can be inverted
     with pytest.raises(ContextError):
         LocalContext.p_local(3, make_ring("zmod:6"), E6)
-    with pytest.raises(ContextError):
-        LocalContext(3, Z9, E6, {2: 3})  # bad certificate: 2*3 != 1 mod 9
 
 
 def test_decompose_teichmuller():
@@ -119,6 +116,17 @@ def test_v_one_examples():
     ctx6 = LocalContext.p_local(3, Z9, E6)
     img6 = v_one_apply(VModuleLocal(ctx6).generator(), ctx6)
     assert is_hodge_tate(img6, ctx6)
+
+
+def test_v_one_degenerate_direction():
+    # E^(p) = {1}: V_p . F_p is zero, so the factor at 1 goes to zero
+    ctxq = LocalContext.rational(RATIONALS, E6)
+    img = v_one_apply(VModuleLocal(ctxq).generator(), ctxq)
+    assert img == make_witt(E6, RATIONALS, ["0", "1/2", "1/3", "5/72"])
+    assert ghost_raw(img) == {1: 0, 2: 1, 3: 1, 6: 1}
+    Z7 = make_ring("zmod:7")
+    ctx5 = LocalContext.p_local(5, Z7, E6)
+    assert v_one_apply(VModuleLocal(ctx5).generator(), ctx5) == make_witt(E6, Z7, [0, 4, 5, 6])
 
 
 def test_hodge_tate_examples():

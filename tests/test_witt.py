@@ -94,6 +94,12 @@ def test_dwork():
         assert dwork_check(ghost_raw(a), E6)
     assert not dwork_check({1: 0, 2: 1}, E2)
     assert dwork_check({n: 0 for n in E6}, E6)
+    E = IndexSet.p_typical(2, 3)
+    w = ghost_raw(make_witt(E, INTEGERS, [1, 2, 3, 4]))
+    assert w == {1: 1, 2: 5, 4: 21, 8: 101}
+    # w_8 = w_4 mod 2^(1 + v_2(4)) = 8, not only mod 2
+    assert not dwork_check({**w, 8: w[8] + 4}, E)
+    assert dwork_check({**w, 8: w[8] + 8}, E)
 
 
 def test_frobenius():
