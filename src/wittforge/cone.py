@@ -14,6 +14,7 @@ rings and over W_E(R).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iter_product
 from math import gcd
 
@@ -118,15 +119,20 @@ class IdealModule(Module):
     def generators(self):
         return list(self._gens)
 
+    @cached_property
+    def _elements(self) -> list:
+        """The ideal, built once and sorted by repr."""
+        return sorted(_ideal(self.ring, self._gens), key=repr)
+
     def elements(self):
         if self.ring.size() is None:
             raise UnsupportedRing("ideal enumeration needs a finite ring")
-        return iter(sorted(_ideal(self.ring, self._gens), key=repr))
+        return iter(self._elements)
 
     def size(self):
         if self.ring.size() is None:
             return None
-        return len(list(self.elements()))
+        return len(self._elements)
 
 
 @dataclass

@@ -6,14 +6,16 @@ keys: each exponent tuple becomes one int, read in a mixed radix whose place
 values come from the operands' per-variable maximum exponents (a product's
 exponent is at most the sum of its factors' maxima, a k-th power's at most k
 times the maximum), so adding keys multiplies monomials with no carry between
-variables.  A k-th power is one chain: a^2 by half-pair squaring (pairs
-i <= j only, cross terms doubled), then a^(j+1) = a^j * a.  When the input
-to a power is invariant under swapping the two halves of an even variable
-list (x <-> y in the sum and product families), each a^j * a step multiplies
-only a's canonical and fixed terms and adds the mirror image of the
-canonical part; the symmetry is read off the packed input, never assumed.
-Division by an integer is exact-or-raise, never rounded.  This is the engine
-behind the universal Witt polynomials.
+variables.  A product runs the larger operand in the outer loop and walks a
+prebuilt item list of the smaller one in the inner loop.  A k-th power is one
+chain: a^2 by half-pair squaring (pairs i <= j only, cross terms doubled),
+then a^(j+1) = a^j * a.  When the input to a power is invariant under
+swapping the two halves of an even variable list (x <-> y in the sum and
+product families), each a^j * a step multiplies only a's canonical and fixed
+terms and adds the mirror image of the canonical part; the symmetry is read
+off the packed input, never assumed.  Division by an integer is
+exact-or-raise, never rounded.  This is the engine behind the universal Witt
+polynomials.
 """
 
 from __future__ import annotations
@@ -25,14 +27,19 @@ from .rings import InexactDivision
 
 
 def _pmul(a: dict, b: dict, out: dict | None = None) -> dict:
-    """Product of packed a and b, added into out (a new dict by default)."""
-    if len(a) > len(b):
+    """Product of packed a and b, added into out (a new dict by default).
+
+    The larger operand is the outer loop; the inner loop walks a list of the
+    smaller one's items.
+    """
+    if len(a) < len(b):
         a, b = b, a
     if out is None:
         out = {}
     get = out.get
+    small = list(b.items())
     for k1, c1 in a.items():
-        for k2, c2 in b.items():
+        for k2, c2 in small:
             k = k1 + k2
             s = get(k, 0) + c1 * c2
             if s:
@@ -289,13 +296,6 @@ class IntPoly:
 
     def num_terms(self):
         return len(self.terms)
-
-    def to_json(self, names):
-        out = []
-        for exps, c in sorted(self.terms.items()):
-            mono = {names[i]: e for i, e in enumerate(exps) if e}
-            out.append([mono, c])
-        return out
 
     def __repr__(self):
         if not self.terms:

@@ -29,7 +29,12 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+import tempfile
+from array import array
+from contextlib import suppress
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .indexset import IndexSet
 from .numutil import divisors, factorize
@@ -39,6 +44,11 @@ from .sparsepoly import IntPoly
 CACHE_ENV = "WITTFORGE_CACHE_DIR"
 DEFAULT_TERM_CAP = 150_000
 SYMBOLIC_VERIFY_CAP = 4_000
+# version of the disk cache layout; a file of any other version is a miss
+CACHE_FORMAT = 2
+# exponent width in bytes -> array typecode of that item size
+_EXPONENT_TYPES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class GenerationError(Exception):
@@ -143,38 +153,69 @@ class UniversalEntry:
 
     def to_json(self):
         return {
+            "format": CACHE_FORMAT,
             "op": self.op,
             "index_set": list(self.index_set.elements),
             "variables": self.names,
             "polynomials": {
-                str(n): (None if self.polys[n] is None else self.polys[n].to_json(self.names))
+                str(n): (None if self.polys[n] is None else _level_to_json(self.polys[n]))
                 for n in self.levels
             },
             "certified": list(self.certified),
         }
 
 
-def _poly_from_json(data, names) -> IntPoly:
-    nvars = len(names)
-    pos = {v: i for i, v in enumerate(names)}
-    terms = {}
-    for mono, c in data:
-        exps = [0] * nvars
-        for v, e in mono.items():
-            exps[pos[v]] = e
-        terms[tuple(exps)] = c
-    return IntPoly(nvars, terms)
+def _level_to_json(p: IntPoly) -> dict:
+    """One level for the cache file: its exponents, flattened in term order into
+    little-endian unsigned ints of the narrowest width (1, 2, 4 or 8 bytes) that
+    holds the largest one and hex-encoded, and its coefficients as an int list
+    in the same order."""
+    top = max(chain.from_iterable(p.terms), default=0)
+    width = 1 if top < 1 << 8 else 2 if top < 1 << 16 else 4 if top < 1 << 32 else 8
+    flat = chain.from_iterable(p.terms)
+    if width == 1:
+        raw = bytes(flat)  # three times faster than array("B", flat)
+    else:
+        exps = array(_EXPONENT_TYPES[width], flat)
+        if _BIG_ENDIAN:
+            exps.byteswap()
+        raw = exps.tobytes()
+    return {"width": width, "exponents": raw.hex(), "coefficients": list(p.terms.values())}
+
+
+def _level_from_json(data, nvars: int) -> IntPoly:
+    coeffs = data["coefficients"]
+    exps = array(_EXPONENT_TYPES[data["width"]], bytes.fromhex(data["exponents"]))
+    if _BIG_ENDIAN:
+        exps.byteswap()
+    if len(exps) != nvars * len(coeffs):
+        raise ValueError("exponent length is not nvars times the number of terms")
+    terms = dict(zip(zip(*[iter(exps)] * nvars), coeffs))
+    if len(terms) != len(coeffs) or 0 in coeffs or set(map(type, coeffs)) - {int}:
+        raise ValueError("duplicate monomials, or coefficients that are zero or not integers")
+    p = IntPoly(nvars)
+    p.terms = terms
+    return p
 
 
 def _entry_from_json(obj) -> UniversalEntry:
+    """Rebuild an entry from its cache object; ValueError if the object does not fit."""
+    if obj.get("format") != CACHE_FORMAT:
+        raise ValueError("not a cache file of this format")
     E = IndexSet.explicit(obj["index_set"])
-    names = obj["variables"]
-    levels = _family_levels(E, obj["op"])
+    op = obj["op"]
+    names = _var_names(E, op)
+    if obj["variables"] != names:
+        raise ValueError("variables do not match the family")
+    levels = _family_levels(E, op)
     polys = {}
     for n in levels:
         data = obj["polynomials"][str(n)]
-        polys[n] = None if data is None else _poly_from_json(data, names)
-    return UniversalEntry(E, obj["op"], names, levels, polys, list(obj["certified"]))
+        polys[n] = None if data is None else _level_from_json(data, len(names))
+    certified = [n for n in levels if polys[n] is None]
+    if obj["certified"] != certified:
+        raise ValueError("certified levels do not match the unexpanded ones")
+    return UniversalEntry(E, op, names, levels, polys, certified)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +298,12 @@ def _cache_path(E: IndexSet, op: str):
 
 
 def get_universal(E: IndexSet, op: str) -> UniversalEntry:
-    """The family (E, op) at the default term cap, from memory, disk or generation."""
+    """The family (E, op) at the default term cap, from memory, disk or generation.
+
+    A cache file that is unreadable, of another format or inconsistent is a
+    miss: the family is generated and the file rewritten.  The disk cache is
+    only an optimisation, so a directory that cannot be written is skipped.
+    """
     key = (E.key(), op)
     entry = _MEM.get(key)
     if entry is not None:
@@ -269,18 +315,33 @@ def get_universal(E: IndexSet, op: str) -> UniversalEntry:
                 obj = json.load(fh)
             if obj.get("op") == op and tuple(obj.get("index_set", ())) == E.key():
                 entry = _entry_from_json(obj)
-        except (OSError, ValueError, KeyError):
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
             entry = None
     if entry is None:
         entry = generate_universal_polynomials(E, op)
         if path:
-            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-            tmp = path + ".tmp"
-            with open(tmp, "w") as fh:
-                fh.write(json.dumps(entry.to_json()))
-            os.replace(tmp, path)
+            _write_cache(path, entry)
     # two racing generators produce identical entries; first write wins
     return _MEM.setdefault(key, entry)
+
+
+def _write_cache(path: str, entry: UniversalEntry):
+    """Write through a temp file of its own in the cache dir, then rename."""
+    root, name = os.path.split(path)
+    tmp = None
+    try:
+        os.makedirs(root, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=root)
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(entry.to_json()))
+        os.replace(tmp, path)
+        tmp = None
+    except OSError:
+        pass
+    finally:
+        if tmp is not None:
+            with suppress(OSError):
+                os.remove(tmp)
 
 
 def clear_memory_cache():

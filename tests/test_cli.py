@@ -206,6 +206,21 @@ def test_cache_dir_env(tmp_path):
         universal.clear_memory_cache()
 
 
+def test_unusable_cache_dir_is_skipped(tmp_path):
+    # the cache dir lies under a regular file, so it can never be created; the
+    # cache is only an optimisation, so the suite runs without it
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    env = dict(os.environ, PYTHONPATH=SRC, WITTFORGE_CACHE_DIR=str(blocker / "cache"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wittforge", "verify", "--suite", "witt-universal-integrality"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["passed"] is True
+
+
 def test_witt_beyond_the_term_cap(capsys):
     # level 30 of the div:30 product and the upper ptyp:2:12 sum levels are
     # only certified as universal polynomials; the kernel computes them all

@@ -130,6 +130,38 @@ def test_ideal_module_over_finite_ring():
     assert cone_pi0(q).size() == 4
 
 
+@pytest.mark.parametrize("gens", [[4], [6, 4], [0]])
+def test_ideal_built_once_per_module(monkeypatch, gens):
+    import wittforge.cone as cone
+
+    calls = []
+    ideal = cone._ideal
+
+    def counting(ring, g):
+        calls.append(g)
+        return ideal(ring, g)
+
+    monkeypatch.setattr(cone, "_ideal", counting)
+    z12 = make_ring("zmod:12")
+    members = {(g * r) % 12 for g in gens for r in range(12)}
+    members = sorted({(a + b) % 12 for a in members for b in members}, key=repr)
+    for r1 in range(12):
+        for r2 in range(12):
+            q = QuasiIdeal.from_ideal(z12, gens)
+            before = len(calls)
+            homs = cone_hom_set(q, r1, r2)
+            assert len(calls) == before + 1
+            assert homs == [x for x in members if x == (r2 - r1) % 12]
+    # a module reused across calls builds its ideal only the first time
+    q = QuasiIdeal.from_ideal(z12, gens)
+    before = len(calls)
+    for r2 in range(12):
+        cone_hom_set(q, 0, r2)
+    assert q.module.size() == len(members)
+    assert list(q.module.elements()) == members
+    assert len(calls) == before + 1
+
+
 def test_hom_sets():
     q = QuasiIdeal.rank_one(INTEGERS, 2)
     assert cone_hom_set(q, 0, 4) == [(2,)]

@@ -4,7 +4,7 @@ product on exponent tuples, and evaluation at random integer points."""
 import pytest
 
 from wittforge.rings import INTEGERS
-from wittforge.sparsepoly import IntPoly
+from wittforge.sparsepoly import IntPoly, _maxima, _pack, _pmul, _unpack
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -29,11 +29,11 @@ def naive_pow(a: dict, k: int, nvars: int) -> dict:
 
 
 @st.composite
-def polys(draw, nvars, max_exp=4):
+def polys(draw, nvars, max_exp=4, max_terms=5):
     """Sparse polynomials, often zero or constant, often missing some variables."""
     used = draw(st.sets(st.integers(0, nvars - 1), max_size=nvars)) if nvars else set()
     exps = st.tuples(*(st.integers(0, max_exp if i in used else 0) for i in range(nvars)))
-    terms = draw(st.dictionaries(exps, st.integers(-9, 9), max_size=5))
+    terms = draw(st.dictionaries(exps, st.integers(-9, 9), max_size=max_terms))
     return IntPoly(nvars, terms)
 
 
@@ -85,6 +85,44 @@ def test_power_sum(data):
     assert evaluate(total, point) == sum(c * evaluate(p, point) ** k for c, p, k in summands)
 
 
+@SETTINGS
+@hypothesis.given(st.data())
+def test_product_of_unequal_sizes(data):
+    # a large operand (up to ~30 terms) against a small one, in both orders, so
+    # the larger-operand-outer loop runs with either argument outermost
+    nvars = data.draw(st.integers(2, 4))
+    point = data.draw(st.lists(st.integers(-3, 3), min_size=nvars, max_size=nvars))
+    exps = st.tuples(*(st.integers(0, 6) for _ in range(nvars)))
+    nonzero = st.integers(-9, 9).filter(bool)
+    big = IntPoly(nvars, data.draw(st.dictionaries(exps, nonzero, min_size=10, max_size=30)))
+    small = data.draw(polys(nvars, max_terms=3))
+    for p, q in ((big, small), (small, big)):
+        pq = p * q
+        assert pq.terms == naive_mul(p.terms, q.terms)
+        assert evaluate(pq, point) == evaluate(p, point) * evaluate(q, point)
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_pmul_into_cancelling_out(data):
+    # out already holds terms, some of them the negatives of terms of a*b, so
+    # adding the product must delete them rather than leave zero coefficients
+    nvars, _ = data.draw(cases())
+    p = data.draw(polys(nvars, max_terms=30))
+    q = data.draw(polys(nvars, max_terms=4))
+    product = naive_mul(p.terms, q.terms)
+    cancel = {e: -c for e, c in product.items() if data.draw(st.booleans())}
+    r = IntPoly(nvars, cancel) + data.draw(polys(nvars))
+    radices = [max(a + b, c) + 1 for a, b, c in zip(_maxima(p), _maxima(q), _maxima(r))]
+    out = _pack(r, radices)
+    a, b = _pack(p, radices), _pack(q, radices)
+    if data.draw(st.booleans()):
+        a, b = b, a
+    got = _unpack(_pmul(a, b, out), radices, nvars)
+    assert 0 not in got.terms.values()
+    assert got.terms == (r + IntPoly(nvars, product)).terms
+
+
 def test_edge_cases():
     x, y = IntPoly.var(2, 0), IntPoly.var(2, 1)
     zero, three = IntPoly(2), IntPoly.const(2, 3)
@@ -97,6 +135,8 @@ def test_edge_cases():
     assert IntPoly.power_sum(2, [(1, x + y, 2), (-1, x, 2), (-1, y, 2)]).terms == {(1, 1): 2}
     assert IntPoly.power_sum(2, []).terms == {}
     assert (IntPoly.const(0, 2) ** 3).terms == {(): 8}
+    assert (IntPoly.const(0, 2) * IntPoly.const(0, -3)).terms == {(): -6}
+    assert _pmul({0: 2}, {0: 3}, {0: -6}) == {}
     with pytest.raises(ValueError):
         x**-1
 

@@ -3,12 +3,15 @@ import json
 import os
 import sys
 import threading
+import types
 
 import pytest
 
+import wittforge.universal as universal
 from wittforge.indexset import IndexSet, index_set_make
 from wittforge.sparsepoly import IntPoly
 from wittforge.universal import (
+    CACHE_FORMAT,
     UniversalEntry,
     _certify_step,
     _entry_from_json,
@@ -90,6 +93,155 @@ def test_disk_cache(tmp_path, monkeypatch):
     second = get_universal(E, "sum")
     assert first.polys[4] == second.polys[4]
     clear_memory_cache()
+
+
+def test_json_round_trip_two_byte_exponents(tmp_path, monkeypatch):
+    # level 257 of the sum over {1, 257} has exponent 256, so two bytes each
+    E = index_set_make("ptyp:257:2")
+    entry = generate_universal_polynomials(E, "sum")
+    obj = json.loads(json.dumps(entry.to_json()))
+    assert obj["format"] == CACHE_FORMAT
+    assert obj["polynomials"]["1"]["width"] == 1
+    assert obj["polynomials"]["257"]["width"] == 2
+    back = _entry_from_json(obj)
+    assert back.polys == entry.polys and back.certified == entry.certified
+    # identical invocations write byte-identical files
+    written = []
+    for sub in ("a", "b"):
+        monkeypatch.setenv("WITTFORGE_CACHE_DIR", str(tmp_path / sub))
+        clear_memory_cache()
+        get_universal(E, "sum")
+        (name,) = os.listdir(tmp_path / sub)
+        written.append((tmp_path / sub / name).read_bytes())
+    clear_memory_cache()
+    assert written[0] == written[1]
+
+
+def _old_format(entry):
+    """The cache layout of earlier versions: sorted [{name: exponent}, c] terms."""
+    def poly(p):
+        return [[{entry.names[i]: e for i, e in enumerate(exps) if e}, c]
+                for exps, c in sorted(p.terms.items())]
+
+    return {
+        "op": entry.op,
+        "index_set": list(entry.index_set.elements),
+        "variables": entry.names,
+        "polynomials": {str(n): None if p is None else poly(p) for n, p in entry.polys.items()},
+        "certified": list(entry.certified),
+    }
+
+
+def _other_format(entry):
+    obj = entry.to_json()
+    obj["format"] = CACHE_FORMAT + 1
+    return json.dumps(obj)
+
+
+def _truncated(entry):
+    return json.dumps(entry.to_json())[:-40]
+
+
+def _wrong_length(entry):
+    obj = entry.to_json()
+    obj["polynomials"]["4"]["exponents"] += "0000"
+    return json.dumps(obj)
+
+
+def _wrong_variables(entry):
+    obj = entry.to_json()
+    obj["variables"] = obj["variables"][::-1]
+    return json.dumps(obj)
+
+
+def _zero_coefficient(entry):
+    obj = entry.to_json()
+    obj["polynomials"]["4"]["coefficients"][0] = 0
+    return json.dumps(obj)
+
+
+def _duplicate_monomial(entry):
+    obj = entry.to_json()
+    level = obj["polynomials"]["4"]
+    nbytes = 2 * len(entry.names) * level["width"]
+    level["exponents"] = level["exponents"][:nbytes] * len(level["coefficients"])
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda e: json.dumps(_old_format(e)),
+    _other_format,
+    _truncated,
+    _wrong_length,
+    _wrong_variables,
+    _zero_coefficient,
+    _duplicate_monomial,
+], ids=["old-format", "other-format", "truncated", "wrong-length", "wrong-variables", "zero-coefficient",
+        "duplicate-monomial"])
+def test_unfit_cache_file_is_regenerated(tmp_path, monkeypatch, spoil):
+    E = IndexSet.divisors_of(4)
+    entry = generate_universal_polynomials(E, "sum")
+    monkeypatch.setenv("WITTFORGE_CACHE_DIR", str(tmp_path))
+    clear_memory_cache()
+    path = universal._cache_path(E, "sum")
+    with open(path, "w") as fh:
+        fh.write(spoil(entry))
+    try:
+        got = get_universal(E, "sum")
+    finally:
+        clear_memory_cache()
+    assert got.polys == entry.polys
+    # the unfit file was overwritten with the current format
+    with open(path) as fh:
+        assert fh.read() == json.dumps(entry.to_json())
+    assert os.listdir(tmp_path) == [os.path.basename(path)]
+
+
+def test_concurrent_cache_writes(tmp_path, monkeypatch):
+    # two threads generate one family and meet inside the write step, so both
+    # have a temp file open before either renames it into place
+    monkeypatch.setenv("WITTFORGE_CACHE_DIR", str(tmp_path))
+    clear_memory_cache()
+    barrier = threading.Barrier(2, timeout=60)
+
+    def dumps(obj):
+        barrier.wait()
+        return json.dumps(obj)
+
+    monkeypatch.setattr(universal, "json", types.SimpleNamespace(dumps=dumps, load=json.load))
+    replace, renamed = os.replace, []
+
+    def counting_replace(src, dst):
+        replace(src, dst)
+        renamed.append(src)
+
+    monkeypatch.setattr(os, "replace", counting_replace)
+    E = IndexSet.divisors_of(4)
+    results, errors = [], []
+
+    def worker():
+        try:
+            results.append(get_universal(E, "sum"))
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker) for _ in range(2)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        clear_memory_cache()
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(results) == 2 and results[0].polys == results[1].polys
+    # each writer renamed a temp file of its own into place
+    assert len(renamed) == 2 and renamed[0] != renamed[1]
+    (name,) = os.listdir(tmp_path)
+    assert not name.endswith(".tmp")
+    with open(tmp_path / name) as fh:
+        assert fh.read() == json.dumps(results[0].to_json())
 
 
 def test_concurrent_generation_idempotent():
