@@ -137,7 +137,7 @@ def cmd_verschiebung(args):
 
 def cmd_teich(args):
     ring, E = _ring_and_set(args)
-    out = teichmuller(ring.el_from_str(args.r), E, ring)
+    out = teichmuller(args.r, E, ring)
     _emit({"coords": _coords_json(out)}, args)
     return 0
 
@@ -188,7 +188,7 @@ def cmd_cone(args):
         if not args.base or not args.d:
             raise UsageError("cone needs --base and --d, or --json")
         ring = make_ring(args.base)
-        dvals = [ring.el_from_str(s) for s in args.d.split(",")]
+        dvals = args.d.split(",")
         q = QuasiIdeal(ring, FreeModule(ring, len(dvals)), dvals)
     ok, witness = quasi_ideal_check(q)
     out = {"quasi_ideal_law": ok}
@@ -207,8 +207,7 @@ def cmd_cone(args):
         except UnsupportedRing as e:
             out["pi0"] = {"unsupported": str(e)}
         if args.hom:
-            r1, r2 = (ring.el_from_str(s) for s in args.hom)
-            hom = cone_hom_set(q, r1, r2)
+            hom = cone_hom_set(q, *args.hom)
             out["hom"] = [
                 [ring.el_to_str(x) for x in h] if isinstance(h, tuple) else ring.el_to_str(h)
                 for h in hom

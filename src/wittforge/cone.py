@@ -102,7 +102,7 @@ class IdealModule(Module):
 
     def __init__(self, ring: Ring, generators):
         self.ring = ring
-        self._gens = [_raw(ring, g) for g in generators]
+        self._gens = [ring.raw(g) for g in generators]
 
     def zero(self):
         return self.ring.zero()
@@ -141,6 +141,9 @@ class QuasiIdeal:
     module: Module
     d_gens: list  # image of each module generator under d
 
+    def __post_init__(self):
+        self.d_gens = [self.ring.raw(v) for v in self.d_gens]
+
     def d(self, x):
         """Apply the structure map, expanding x against the generators.
 
@@ -157,7 +160,7 @@ class QuasiIdeal:
 
     @classmethod
     def rank_one(cls, ring: Ring, d_value) -> "QuasiIdeal":
-        return cls(ring, FreeModule(ring, 1), [_raw(ring, d_value)])
+        return cls(ring, FreeModule(ring, 1), [d_value])
 
     @classmethod
     def from_ideal(cls, ring: Ring, generators) -> "QuasiIdeal":
@@ -178,12 +181,6 @@ def _ideal(ring: Ring, gens) -> frozenset:
                     seen.add(y)
                     frontier.append(y)
     return frozenset(seen)
-
-
-def _raw(ring: Ring, v):
-    if isinstance(v, int):
-        return ring.from_int(v)
-    return ring.canonicalize(v)
 
 
 def quasi_ideal_to_json(q: QuasiIdeal) -> dict:
@@ -210,10 +207,10 @@ def quasi_ideal_from_json(obj) -> QuasiIdeal:
     if obj.get("relations"):
         raise UnsupportedRing("relation matrices are not supported; use a free module")
     ring = make_ring(obj["base"])
-    dvals = [ring.el_from_str(s) for s in obj["d"]]
-    if len(dvals) != obj.get("generators", len(dvals)):
+    rank = len(obj["d"])
+    if rank != obj.get("generators", rank):
         raise UnsupportedRing("generator count does not match the d-values")
-    return QuasiIdeal(ring, FreeModule(ring, len(dvals)), dvals)
+    return QuasiIdeal(ring, FreeModule(ring, rank), obj["d"])
 
 
 def quasi_ideal_check(q: QuasiIdeal):
@@ -339,7 +336,7 @@ def _zero_ring():
 def cone_hom_set(q: QuasiIdeal, r1, r2, cap: int = 10**6):
     """Hom(r1, r2) = {x in I : d(x) = r2 - r1}."""
     ring = q.ring
-    target = ring.sub(_raw(ring, r2), _raw(ring, r1))
+    target = ring.sub(ring.raw(r2), ring.raw(r1))
     size = q.module.size()
     if size is not None:
         if size > cap:

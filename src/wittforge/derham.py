@@ -203,10 +203,6 @@ def rees_package_degree(H: HodgeFilteredCohomology, j: int) -> ReesModule:
     return rees_of_filtered(H.filtered[j])
 
 
-def rees_package(H: HodgeFilteredCohomology) -> dict:
-    return {j: rees_package_degree(H, j) for j in H.filtered}
-
-
 # ---------------------------------------------------------------------------
 # points of the de Rham affine line: the cone of a trivialized line bundle map
 

@@ -22,6 +22,8 @@ class IndexSet:
     elements: tuple[int, ...]
 
     def __post_init__(self):
+        if not all(isinstance(n, int) for n in self.elements):
+            raise IndexSetError(f"index set members must be integers: {self.elements!r}")
         elems = tuple(sorted(set(self.elements)))
         object.__setattr__(self, "elements", elems)
         if not elems or elems[0] < 1:
@@ -74,7 +76,10 @@ class IndexSet:
         return set(self.elements) <= set(other.elements)
 
     def position(self, n: int) -> int:
-        return self.elements.index(n)
+        try:
+            return self.elements.index(n)
+        except ValueError:
+            raise IndexSetError(f"{n} is not in the index set {self}") from None
 
     # -- derived sets ----------------------------------------------------------
     def restrict(self, n: int) -> "IndexSet":

@@ -57,15 +57,10 @@ class AffinePresentation:
 
     def __post_init__(self):
         ring = self.coordinate_ring()
-        canon = []
-        for rel in self.relations:
-            if isinstance(rel, str):
-                rel = ring.el_from_str(rel)
-            rel = ring.canonicalize(rel)
-            if rel == ring.zero():
-                raise PrismaticError("zero relation is a zerodivisor: not Koszul regular")
-            canon.append(rel)
-        object.__setattr__(self, "relations", tuple(canon))
+        relations = tuple(ring.raw(rel) for rel in self.relations)
+        if ring.zero() in relations:
+            raise PrismaticError("zero relation is a zerodivisor: not Koszul regular")
+        object.__setattr__(self, "relations", relations)
 
     def coordinate_ring(self) -> PolyRing:
         return PolyRing(INTEGERS, self.generators)
@@ -114,11 +109,6 @@ class WbarModel:
     quasi_ideal: QuasiIdeal
     pi0: Pi0  # W_E(R) / (xi)
     rbar: Pi0  # R / (xi_1)
-
-    def level_arith(self, n: int, op: str, u, v=None):
-        from .cone import cone_level_arith
-
-        return cone_level_arith(self.quasi_ideal, n, op, u, v)
 
     def pi0_to_rbar(self, cls_index: int) -> int:
         w = self.pi0.classes[cls_index]

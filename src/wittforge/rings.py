@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add as _add
 
 from .numutil import crt_pair, factorize, inverse_mod, is_prime
 
@@ -103,7 +104,7 @@ class Ring:
             a = self.mul(a, a)
 
     def canonicalize(self, a):
-        """Renormalize a possibly non-canonical raw value."""
+        """Renormalize a raw value; a ring raises ValidationError for a non-value."""
         return a
 
     def exact_div_int(self, a, n: int):
@@ -163,16 +164,29 @@ class Ring:
         raise NotImplementedError
 
     # -- convenience -------------------------------------------------------
-    def __call__(self, value) -> "RingElement":
+    def raw(self, value):
+        """The canonical raw value of value in this ring: the one coercion.
+
+        An element of this ring gives its value and an element of another
+        ring raises RingMismatch; an int goes through from_int, a str through
+        el_from_str and anything else through canonicalize, which raises
+        ValidationError for what is not a raw value of this ring.
+        """
         if isinstance(value, RingElement):
             if value.ring != self:
                 raise RingMismatch(f"{value} is not in {self.descriptor()}")
-            return value
+            return value.value
         if isinstance(value, int):
-            return RingElement(self, self.from_int(value))
+            return self.from_int(value)
         if isinstance(value, str):
-            return RingElement(self, self.el_from_str(value))
-        return RingElement(self, self.canonicalize(value))
+            return self.el_from_str(value)
+        return self.canonicalize(value)
+
+    def _reject(self, value):
+        raise ValidationError(f"{value!r} is not a value of {self.descriptor()}")
+
+    def __call__(self, value) -> "RingElement":
+        return RingElement(self, self.raw(value))
 
     def elem(self, raw) -> "RingElement":
         return RingElement(self, raw)
@@ -191,19 +205,8 @@ class RingElement:
         self.ring = ring
         self.value = value
 
-    def _coerce(self, other):
-        if isinstance(other, RingElement):
-            if other.ring != self.ring:
-                raise RingMismatch(
-                    f"ring mismatch: {self.ring.descriptor()} vs {other.ring.descriptor()}"
-                )
-            return other.value
-        if isinstance(other, int):
-            return self.ring.from_int(other)
-        raise RingMismatch(f"cannot coerce {other!r} into {self.ring.descriptor()}")
-
     def __add__(self, other):
-        return RingElement(self.ring, self.ring.add(self.value, self._coerce(other)))
+        return RingElement(self.ring, self.ring.add(self.value, self.ring.raw(other)))
 
     __radd__ = __add__
 
@@ -211,13 +214,13 @@ class RingElement:
         return RingElement(self.ring, self.ring.neg(self.value))
 
     def __sub__(self, other):
-        return RingElement(self.ring, self.ring.sub(self.value, self._coerce(other)))
+        return RingElement(self.ring, self.ring.sub(self.value, self.ring.raw(other)))
 
     def __rsub__(self, other):
-        return RingElement(self.ring, self.ring.sub(self._coerce(other), self.value))
+        return RingElement(self.ring, self.ring.sub(self.ring.raw(other), self.value))
 
     def __mul__(self, other):
-        return RingElement(self.ring, self.ring.mul(self.value, self._coerce(other)))
+        return RingElement(self.ring, self.ring.mul(self.value, self.ring.raw(other)))
 
     __rmul__ = __mul__
 
@@ -250,7 +253,32 @@ class RingElement:
 # the base rings
 
 
-class IntegerRing(Ring):
+class _NumberRing(Ring):
+    """Z and Q: Python numbers and operators; reduced, and their own lifts."""
+
+    def add(self, a, b):
+        return a + b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def pow(self, a, k):
+        return a**k
+
+    def lift(self):
+        return self, _same
+
+    def _nilpotency_bound(self, a):
+        return 1
+
+    def el_to_str(self, a):
+        return str(a)
+
+
+class IntegerRing(_NumberRing):
     def descriptor(self):
         return "integers"
 
@@ -263,17 +291,10 @@ class IntegerRing(Ring):
     def from_int(self, n):
         return n
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def pow(self, a, k):
-        return a**k
+    def canonicalize(self, a):
+        if not isinstance(a, int):
+            self._reject(a)
+        return a
 
     def exact_div_int(self, a, n):
         if n == 0:
@@ -286,17 +307,8 @@ class IntegerRing(Ring):
     def unit_inverse(self, a):
         return a if a in (1, -1) else None
 
-    def lift(self):
-        return self, _same
-
-    def _nilpotency_bound(self, a):
-        return 1
-
     def random(self, rng):
         return rng.randint(-20, 20)
-
-    def el_to_str(self, a):
-        return str(a)
 
     def el_from_str(self, s):
         s = s.strip()
@@ -305,7 +317,7 @@ class IntegerRing(Ring):
         return int(s)
 
 
-class RationalRing(Ring):
+class RationalRing(_NumberRing):
     def descriptor(self):
         return "rationals"
 
@@ -318,17 +330,12 @@ class RationalRing(Ring):
     def from_int(self, n):
         return Fraction(n)
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def pow(self, a, k):
-        return a**k
+    def canonicalize(self, a):
+        if isinstance(a, Fraction):
+            return a
+        if not isinstance(a, int):
+            self._reject(a)
+        return Fraction(a)
 
     def exact_div_int(self, a, n):
         if n == 0:
@@ -338,17 +345,8 @@ class RationalRing(Ring):
     def unit_inverse(self, a):
         return 1 / a if a != 0 else None
 
-    def lift(self):
-        return self, _same
-
-    def _nilpotency_bound(self, a):
-        return 1
-
     def random(self, rng):
         return Fraction(rng.randint(-12, 12), rng.randint(1, 9))
-
-    def el_to_str(self, a):
-        return str(a)
 
     def el_from_str(self, s):
         s = s.strip()
@@ -391,6 +389,8 @@ class ZModRing(Ring):
         return pow(a, k, self.n)
 
     def canonicalize(self, a):
+        if not isinstance(a, int):
+            self._reject(a)
         return a % self.n
 
     def exact_div_int(self, a, k):
@@ -403,7 +403,7 @@ class ZModRing(Ring):
         return inverse_mod(a, self.n)
 
     def lift(self):
-        return INTEGERS, self.canonicalize
+        return INTEGERS, self.from_int
 
     def size(self):
         return self.n
@@ -549,25 +549,27 @@ class PolyRing(Ring):
         return s + ")"
 
     def _check_exps(self, exps):
+        exps = tuple(exps)
         for e, inv in zip(exps, self._inv_mask):
             if e < 0 and not inv:
                 raise ValidationError("negative exponent on a non-inverted variable")
+        return exps
 
     def canonicalize(self, a):
-        acc = {}
-        for exps, c in a:
-            exps = tuple(exps)
-            self._check_exps(exps)
-            c = self.base.canonicalize(c)
-            if exps in acc:
-                acc[exps] = self.base.add(acc[exps], c)
-            else:
-                acc[exps] = c
-        return self._from_dict(acc)
+        try:
+            terms = [(self._check_exps(e), self.base.canonicalize(c)) for e, c in a]
+        except (TypeError, ValueError):
+            self._reject(a)
+        return self._collect(terms)
 
-    def _from_dict(self, d):
+    def _collect(self, terms):
+        """The canonical sum of terms (exponent tuple, canonical coefficient)."""
+        acc = {}
+        add = self.base.add
+        for e, c in terms:
+            acc[e] = add(acc[e], c) if e in acc else c
         zero = self.base.zero()
-        items = [(e, c) for e, c in d.items() if c != zero]
+        items = [t for t in acc.items() if t[1] != zero]
         items.sort(key=lambda t: (sum(t[0]), t[0]))
         return tuple(items)
 
@@ -587,8 +589,7 @@ class PolyRing(Ring):
         return self.constant(self.base.from_int(n))
 
     def monomial(self, exps, coeff=None):
-        exps = tuple(exps)
-        self._check_exps(exps)
+        exps = self._check_exps(exps)
         c = self.base.one() if coeff is None else self.base.canonicalize(coeff)
         if c == self.base.zero():
             return ()
@@ -600,37 +601,16 @@ class PolyRing(Ring):
         return self.monomial(exps)
 
     def add(self, a, b):
-        acc = dict(a)
-        zero = self.base.zero()
-        for exps, c in b:
-            if exps in acc:
-                s = self.base.add(acc[exps], c)
-                if s == zero:
-                    del acc[exps]
-                else:
-                    acc[exps] = s
-            else:
-                acc[exps] = c
-        return self._from_dict(acc)
+        return self._collect(a + b)
 
     def neg(self, a):
         return tuple((exps, self.base.neg(c)) for exps, c in a)
 
     def mul(self, a, b):
-        if not a or not b:
-            return ()
-        acc = {}
-        badd = self.base.add
         bmul = self.base.mul
-        for e1, c1 in a:
-            for e2, c2 in b:
-                e = tuple(x + y for x, y in zip(e1, e2))
-                c = bmul(c1, c2)
-                if e in acc:
-                    acc[e] = badd(acc[e], c)
-                else:
-                    acc[e] = c
-        return self._from_dict(acc)
+        return self._collect(
+            [(tuple(map(_add, e1, e2)), bmul(c1, c2)) for e1, c1 in a for e2, c2 in b]
+        )
 
     def exact_div_int(self, a, n):
         return tuple((exps, self.base.exact_div_int(c, n)) for exps, c in a)
@@ -700,19 +680,10 @@ class PolyRing(Ring):
         if not s:
             raise ParseError("empty polynomial")
         # split on '+' but keep '-' attached to the following term
-        terms = []
-        for chunk in s.split("+"):
-            if chunk == "":
-                raise ParseError(f"bad polynomial {s!r}")
-            terms.append(chunk)
-        acc = {}
-        for term in terms:
-            exps, c = self._parse_term(term)
-            if exps in acc:
-                acc[exps] = self.base.add(acc[exps], c)
-            else:
-                acc[exps] = c
-        return self._from_dict(acc)
+        terms = s.split("+")
+        if "" in terms:
+            raise ParseError(f"bad polynomial {s!r}")
+        return self._collect([self._parse_term(term) for term in terms])
 
     def _parse_term(self, term):
         sign = 1
@@ -741,9 +712,7 @@ class PolyRing(Ring):
             exps[self.variables.index(name)] += e
         if sign < 0:
             coeff = self.base.neg(coeff)
-        exps = tuple(exps)
-        self._check_exps(exps)
-        return exps, coeff
+        return self._check_exps(exps), coeff
 
     def total_degree(self, a):
         return max((sum(e) for e, _ in a), default=None)
@@ -823,11 +792,8 @@ class QuotientRing(Ring):
             return _zmod_inverse(self, a, base.n)
         if isinstance(base, IntegerRing):
             # a is a unit over Z iff its rational inverse has integer coefficients
-            qring = QuotientRing(
-                PolyRing(RATIONALS, self.poly.variables),
-                tuple((e, Fraction(c)) for e, c in self.relation),
-            )
-            qinv = qring.unit_inverse(tuple((e, Fraction(c)) for e, c in a))
+            qring = QuotientRing(PolyRing(RATIONALS, self.poly.variables), self.relation)
+            qinv = qring.unit_inverse(qring.raw(a))
             if qinv is None or any(c.denominator != 1 for _, c in qinv):
                 return None
             return self.canonicalize(tuple((e, int(c)) for e, c in qinv))

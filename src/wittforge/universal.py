@@ -82,15 +82,25 @@ def _ghost_target(E: IndexSet, op: str, n: int) -> IntPoly:
         return ghost_poly(E, n, 0, 2) * ghost_poly(E, n, 1, 2)
     if op == "negation":
         return -ghost_poly(E, n, 0, 1)
-    if op.startswith("frobenius:"):
-        k = int(op.split(":")[1])
+    k = _frobenius_index(op)
+    if k is not None:
         return ghost_poly(E, k * n, 0, 1)
     raise GenerationError(f"unknown operation {op!r}")
 
 
+def _frobenius_index(op: str):
+    """k of a "frobenius:k" family, or None for any other op."""
+    if not op.startswith("frobenius:"):
+        return None
+    try:
+        return int(op[len("frobenius:"):])
+    except ValueError:
+        raise GenerationError(f"bad Frobenius family {op!r}") from None
+
+
 def _family_levels(E: IndexSet, op: str) -> list[int]:
-    if op.startswith("frobenius:"):
-        k = int(op.split(":")[1])
+    k = _frobenius_index(op)
+    if k is not None:
         if k not in E:
             raise GenerationError(f"{k} is not in the index set {E}")
         return list(E.restrict(k))
@@ -123,8 +133,8 @@ def _level_bound(E: IndexSet, op: str, n: int) -> int:
     if op == "product":
         b = _slice_bound(list(E.elements), n)
         return b * b
-    if op.startswith("frobenius:"):
-        k = int(op.split(":")[1])
+    k = _frobenius_index(op)
+    if k is not None:
         return _slice_bound(list(E.elements), k * n)
     return _slice_bound(_var_weights(E, op), n)
 

@@ -115,19 +115,7 @@ class WittVector:
 
 
 def make_witt(E: IndexSet, ring: Ring, values) -> WittVector:
-    coords = []
-    for v in values:
-        if isinstance(v, RingElement):
-            if v.ring != ring:
-                raise RingMismatch("coordinate from a different ring")
-            coords.append(v.value)
-        elif isinstance(v, int):
-            coords.append(ring.from_int(v))
-        elif isinstance(v, str):
-            coords.append(ring.el_from_str(v))
-        else:
-            coords.append(ring.canonicalize(v))
-    return WittVector(E, ring, tuple(coords))
+    return WittVector(E, ring, tuple(ring.raw(v) for v in values))
 
 
 def witt_from_json(obj, ring=None) -> WittVector:
@@ -143,15 +131,13 @@ def witt_zero(E: IndexSet, ring: Ring) -> WittVector:
 
 
 def teichmuller(r, E: IndexSet, ring: Ring = None) -> WittVector:
-    """[r] = (r, 0, 0, ...), the multiplicative section of the first ghost."""
-    if isinstance(r, RingElement):
-        ring = r.ring
-        raw = r.value
-    else:
+    """[r] = (r, 0, 0, ...), the multiplicative section of the first ghost,
+    over the ring of the RingElement r when no ring is given."""
+    if ring is None:
+        ring = getattr(r, "ring", None)
         if ring is None:
             raise WittError("teichmuller needs a ring for a raw value")
-        raw = ring.canonicalize(r) if not isinstance(r, int) else ring.from_int(r)
-    coords = [raw] + [ring.zero()] * (len(E) - 1)
+    coords = [ring.raw(r)] + [ring.zero()] * (len(E) - 1)
     return WittVector(E, ring, tuple(coords))
 
 
@@ -330,7 +316,7 @@ def unghost(w: dict, E: IndexSet, ring: Ring) -> WittVector:
     Requires every n in E invertible in the ring, or the integers together
     with a passing Dwork certificate (in which case every division is exact).
     """
-    raw = [w[n].value if isinstance(w[n], RingElement) else w[n] for n in E]
+    raw = [ring.raw(w[n]) for n in E]
     if isinstance(ring, IntegerRing):
         ints = dict(zip(E, raw))
         if not dwork_check(ints, E):
@@ -339,7 +325,6 @@ def unghost(w: dict, E: IndexSet, ring: Ring) -> WittVector:
         for n in E.elements[1:]:
             if ring.int_unit_inverse(n) is None:
                 raise WittError(f"{n} is not invertible in {ring.descriptor()}")
-        raw = [ring.from_int(v) if isinstance(v, int) else v for v in raw]
     return WittVector(E, ring, tuple(_unghost(_plan(E), ring, raw)))
 
 
@@ -496,6 +481,8 @@ class WittRing(Ring):
         return witt_mul(self.unwrap(a), self.unwrap(b)).coords
 
     def canonicalize(self, a):
+        if not isinstance(a, tuple) or len(a) != len(self.E):
+            self._reject(a)
         return tuple(self.coeff.canonicalize(c) for c in a)
 
     def _torsion_free(self):

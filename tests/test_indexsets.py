@@ -57,6 +57,24 @@ def test_parse():
         index_set_make("weird:3")
 
 
+@pytest.mark.parametrize("elems", [["a"], [1, 2.5], [1, None]])
+def test_non_integer_members_are_typed(elems):
+    with pytest.raises(IndexSetError):
+        IndexSet.explicit(elems)
+
+
+def test_position_outside_the_set_is_typed():
+    from wittforge.rings import INTEGERS
+    from wittforge.witt import make_witt
+
+    E = IndexSet.divisors_of(2)
+    assert E.position(2) == 1
+    with pytest.raises(IndexSetError):
+        E.position(3)
+    with pytest.raises(IndexSetError):
+        make_witt(E, INTEGERS, [1, 2]).coord(3)
+
+
 def test_parse_bad_inputs():
     for bad in ("div:0", "div:x", "ptyp:2:x", "set:1,q"):
         with pytest.raises(IndexSetError):

@@ -3,6 +3,7 @@ from itertools import product as iter_product
 
 import pytest
 
+from wittforge.cone import cone_level_arith
 from wittforge.indexset import IndexSet
 from wittforge.rings import make_ring
 from wittforge.structure import EnumerationBudget, LocalContext
@@ -47,7 +48,7 @@ def test_wbar_levels():
     W = model.context.witt_ring
     u = (W.from_int(1), (W.from_int(3),))
     v = (W.from_int(2), (W.from_int(5),))
-    prod = model.level_arith(2, "mul", u, v)
+    prod = cone_level_arith(model.quasi_ideal, 2, "mul", u, v)
     assert prod[0] == W.from_int(2)
     assert model.check_pi0_maps()
     assert model.kernel_squares_into_ideal()

@@ -12,6 +12,7 @@ from wittforge.indexset import IndexSet, index_set_make
 from wittforge.sparsepoly import IntPoly
 from wittforge.universal import (
     CACHE_FORMAT,
+    GenerationError,
     UniversalEntry,
     _certify_step,
     _entry_from_json,
@@ -53,6 +54,12 @@ def test_frobenius_family():
     fid = get_universal(E, "frobenius:1")
     assert fid.poly(1) == IntPoly(2, {(1, 0): 1})
     assert fid.poly(2) == IntPoly(2, {(0, 1): 1})
+
+
+@pytest.mark.parametrize("op", ["foo", "frobenius:3", "frobenius:x", "frobenius:", "frobenius:2:2"])
+def test_bad_family_name_is_typed(op):
+    with pytest.raises(GenerationError):
+        get_universal(E2, op)
 
 
 def test_generation_certificates_for_oversized_levels():
