@@ -208,10 +208,7 @@ def cmd_cone(args):
             out["pi0"] = {"unsupported": str(e)}
         if args.hom:
             hom = cone_hom_set(q, *args.hom)
-            out["hom"] = [
-                [ring.el_to_str(x) for x in h] if isinstance(h, tuple) else ring.el_to_str(h)
-                for h in hom
-            ]
+            out["hom"] = [q.module.el_to_str(h) for h in hom]
     _emit(out, args)
     return 0 if ok else 1
 

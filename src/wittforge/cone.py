@@ -16,17 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iter_product
-from math import gcd
 
-from .rings import (
-    IntegerRing,
-    PolyRing,
-    QuotientRing,
-    RationalRing,
-    Ring,
-    UnsupportedRing,
-    ZModRing,
-)
+from .rings import Ring, UnsupportedRing
 
 
 class ConeError(Exception):
@@ -51,6 +42,15 @@ class Module:
         raise NotImplementedError
 
     def generators(self):
+        raise NotImplementedError
+
+    def d(self, d_gens, x):  # the structure map, given the images of the generators
+        raise NotImplementedError
+
+    def solve(self, d_gens, target):  # d^-1(target), for a module too large to list
+        raise NotImplementedError
+
+    def el_to_str(self, x):  # the JSON form of x
         raise NotImplementedError
 
     def elements(self):
@@ -87,6 +87,21 @@ class FreeModule(Module):
             )
         return out
 
+    def d(self, d_gens, x):
+        out = self.ring.zero()
+        for coeff, dg in zip(x, d_gens):
+            out = self.ring.add(out, self.ring.mul(coeff, dg))
+        return out
+
+    def solve(self, d_gens, target):
+        if self.rank != 1:
+            raise UnsupportedRing("hom sets over an infinite ring need a rank-one module")
+        x = self.ring.divide(target, d_gens[0])
+        return [] if x is None else [(x,)]
+
+    def el_to_str(self, x):
+        return [self.ring.el_to_str(c) for c in x]
+
     def elements(self):
         base = list(self.ring.elements())
         for combo in iter_product(base, repeat=self.rank):
@@ -119,6 +134,17 @@ class IdealModule(Module):
     def generators(self):
         return list(self._gens)
 
+    def d(self, d_gens, x):
+        return x  # the inclusion: each generator is its own d-value
+
+    def solve(self, d_gens, target):
+        # d is injective, and its image is the ideal the d-values generate
+        quotient, reduce = self.ring.quotient_by(d_gens)
+        return [target] if reduce(target) == quotient.zero() else []
+
+    def el_to_str(self, x):
+        return self.ring.el_to_str(x)
+
     @cached_property
     def _elements(self) -> list:
         """The ideal, built once and sorted by repr."""
@@ -145,18 +171,8 @@ class QuasiIdeal:
         self.d_gens = [self.ring.raw(v) for v in self.d_gens]
 
     def d(self, x):
-        """Apply the structure map, expanding x against the generators.
-
-        Free modules apply d coordinatewise; ideal modules include.
-        """
-        if isinstance(self.module, FreeModule):
-            out = self.ring.zero()
-            for coeff, dg in zip(x, self.d_gens):
-                out = self.ring.add(out, self.ring.mul(coeff, dg))
-            return out
-        if isinstance(self.module, IdealModule):
-            return x
-        raise ConeError("unknown module flavor")
+        """Apply the structure map, expanding x against the generators."""
+        return self.module.d(self.d_gens, x)
 
     @classmethod
     def rank_one(cls, ring: Ring, d_value) -> "QuasiIdeal":
@@ -312,25 +328,7 @@ def cone_pi0(q: QuasiIdeal) -> Pi0:
             classes.append(r)
             index.update((ring.add(r, x), i) for x in image)
         return Pi0("cosets", ring, image=image, classes=classes, index=index)
-    if isinstance(ring, IntegerRing):
-        g = gcd(*dvals)
-        if g == 0:
-            return Pi0("ring", ring, quotient_ring=ring)
-        if g == 1:
-            return Pi0("ring", ring, quotient_ring=_zero_ring())
-        return Pi0("ring", ring, quotient_ring=ZModRing(g))
-    if isinstance(ring, QuotientRing) and isinstance(ring.poly.base, RationalRing):
-        quotient = ring.quotient_by(dvals)
-        return Pi0("ring", ring, quotient_ring=_zero_ring() if quotient.degree == 0 else quotient)
-    if isinstance(ring, RationalRing):
-        nonzero = any(v != ring.zero() for v in dvals)
-        return Pi0("ring", ring, quotient_ring=_zero_ring() if nonzero else ring)
-    raise UnsupportedRing(f"pi0 unsupported over {ring.descriptor()}")
-
-
-def _zero_ring():
-    p = PolyRing(RationalRing(), ("t",))
-    return QuotientRing(p, p.one())
+    return Pi0("ring", ring, quotient_ring=ring.quotient_by(dvals)[0])
 
 
 def cone_hom_set(q: QuasiIdeal, r1, r2, cap: int = 10**6):
@@ -342,34 +340,4 @@ def cone_hom_set(q: QuasiIdeal, r1, r2, cap: int = 10**6):
         if size > cap:
             raise UnsupportedRing("module too large to enumerate")
         return [x for x in q.module.elements() if q.d(x) == target]
-    if isinstance(q.module, FreeModule) and q.module.rank == 1:
-        a = q.d_gens[0]
-        sol = _solve_linear(ring, a, target)
-        return [] if sol is None else [(sol,)]
-    if isinstance(q.module, IdealModule):
-        # d is the inclusion: the hom set is {target} when target lies in the ideal
-        if isinstance(ring, IntegerRing):
-            g = gcd(*q.module.generators())
-            member = target == 0 if g == 0 else target % g == 0
-            return [target] if member else []
-        if isinstance(ring, RationalRing):
-            nonzero = any(v != ring.zero() for v in q.module.generators())
-            return [target] if (nonzero or target == ring.zero()) else []
-    raise UnsupportedRing("hom sets need a finite module or rank one over Z/Q")
-
-
-def _solve_linear(ring: Ring, a, c):
-    """One solution of a*x = c over Z or Q, or None."""
-    if isinstance(ring, IntegerRing):
-        if a == 0:
-            return 0 if c == 0 else None
-        q, r = divmod(c, a)
-        return q if r == 0 else None
-    if isinstance(ring, RationalRing):
-        if a == 0:
-            return ring.zero() if c == ring.zero() else None
-        return c / a
-    inv = ring.unit_inverse(a)
-    if inv is not None:
-        return ring.mul(inv, c)
-    raise UnsupportedRing(f"linear solve unsupported over {ring.descriptor()}")
+    return q.module.solve(q.d_gens, target)

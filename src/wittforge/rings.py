@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from operator import add as _add
 
 from .numutil import crt_pair, factorize, inverse_mod, is_prime
@@ -146,6 +147,18 @@ class Ring:
         """
         raise NotImplementedError
 
+    def quotient_by(self, values):
+        """(R/I, reduce) for the ideal I the values generate, in the shape of
+        lift(): reduce maps a raw value here to its image in R/I."""
+        raise UnsupportedRing(f"pi0 unsupported over {self.descriptor()}")
+
+    def divide(self, c, a):
+        """The unique x with a*x = c, or None; by default only a unit a divides."""
+        inv = self.unit_inverse(a)
+        if inv is None:
+            raise UnsupportedRing(f"linear solve unsupported over {self.descriptor()}")
+        return self.mul(inv, c)
+
     # -- sets of elements --------------------------------------------------
     def size(self):
         return None  # None = infinite
@@ -176,8 +189,8 @@ class Ring:
             if value.ring != self:
                 raise RingMismatch(f"{value} is not in {self.descriptor()}")
             return value.value
-        if isinstance(value, int):
-            return self.from_int(value)
+        if isinstance(value, int):  # a bool is stored as its int
+            return self.from_int(value if type(value) is int else int(value))
         if isinstance(value, str):
             return self.el_from_str(value)
         return self.canonicalize(value)
@@ -274,6 +287,15 @@ class _NumberRing(Ring):
     def _nilpotency_bound(self, a):
         return 1
 
+    def divide(self, c, a):
+        """The exact quotient c/a, or None; 0*x = 0 has every x as a solution."""
+        if not a and not c:
+            raise UnsupportedRing(f"every x in {self.descriptor()} solves 0*x = 0")
+        try:
+            return self.exact_div_int(c, a)
+        except InexactDivision:
+            return None
+
     def el_to_str(self, a):
         return str(a)
 
@@ -294,7 +316,7 @@ class IntegerRing(_NumberRing):
     def canonicalize(self, a):
         if not isinstance(a, int):
             self._reject(a)
-        return a
+        return a if type(a) is int else int(a)
 
     def exact_div_int(self, a, n):
         if n == 0:
@@ -306,6 +328,13 @@ class IntegerRing(_NumberRing):
 
     def unit_inverse(self, a):
         return a if a in (1, -1) else None
+
+    def quotient_by(self, values):
+        g = gcd(*values)
+        if g == 1:
+            return _zero_quotient()
+        quotient = ZModRing(g) if g else self
+        return quotient, quotient.from_int
 
     def random(self, rng):
         return rng.randint(-20, 20)
@@ -344,6 +373,9 @@ class RationalRing(_NumberRing):
 
     def unit_inverse(self, a):
         return 1 / a if a != 0 else None
+
+    def quotient_by(self, values):
+        return _zero_quotient() if any(values) else (self, _same)
 
     def random(self, rng):
         return Fraction(rng.randint(-12, 12), rng.randint(1, 9))
@@ -618,7 +650,11 @@ class PolyRing(Ring):
     def lift(self):
         """(Z/N)[x^+-1] lifts to Z[x^+-1]; over Z or Q the ring is its own lift."""
         if isinstance(self.base, ZModRing):
-            return PolyRing(INTEGERS, self.variables, self.inverted), self.canonicalize
+            # reduce gets canonical values of Z[x^+-1]: term order holds, only coefficients change
+            n = self.base.n
+            return PolyRing(INTEGERS, self.variables, self.inverted), lambda a: tuple(
+                [(e, c % n) for e, c in a if c % n]
+            )
         return self, _same
 
     def _with_modulus(self, m):
@@ -778,10 +814,11 @@ class QuotientRing(Ring):
     def lift(self):
         """(Z/N)[t]/(g) lifts to Z[t]/(g) with g read over Z, still monic;
         over Z or Q the ring is its own lift."""
-        S, _ = self.poly.lift()
+        S, reduce = self.poly.lift()
         if S is self.poly:
             return self, _same
-        return QuotientRing(S, self.relation), self.canonicalize
+        # a canonical value of Z[t]/(g) has degree below deg g, and keeps it mod N
+        return QuotientRing(S, self.relation), reduce
 
     def _with_modulus(self, m):
         return QuotientRing(self.poly._with_modulus(m), self.relation)
@@ -805,12 +842,17 @@ class QuotientRing(Ring):
         return inv if self.mul(a, inv) == self.one() else None
 
     def quotient_by(self, values):
-        """This ring modulo the ideal of values, k[t]/(gcd(g, values)), for a field k."""
+        """Q[t]/(gcd(g, values)); a finite quotient's pi0 enumerates its cosets instead."""
         base = self.poly.base
+        if not isinstance(base, RationalRing):
+            raise UnsupportedRing(f"pi0 unsupported over {self.descriptor()}")
         g = self._g
         for v in values:
             g, _ = _gcd_cofactor(base, g, _dense(base, v))
-        return QuotientRing(self.poly, _sparse(base, g))
+        if len(g) == 1:
+            return _zero_quotient()
+        quotient = QuotientRing(self.poly, _sparse(base, g))
+        return quotient, quotient.reduce
 
     def _nilpotency_bound(self, a):
         # for nilpotent a the ideals a^k R shrink strictly until they are 0;
@@ -864,6 +906,12 @@ class QuotientRing(Ring):
         for (e,), c in self.poly.el_from_str(s):
             out = self.add(out, self.mul(self.pow(t, e), self.reduce(self.poly.constant(c))))
         return out
+
+
+def _zero_quotient():
+    """R/R, one fixed zero ring whatever R is, and the map onto it."""
+    p = PolyRing(RATIONALS, ("t",))
+    return QuotientRing(p, p.one()), lambda a: ()
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .numutil import divisors, factorize, valuation
 from .rings import (
     INTEGERS,
     InexactDivision,
-    IntegerRing,
+    ParseError,
     Ring,
     RingElement,
     RingMismatch,
@@ -317,7 +317,7 @@ def unghost(w: dict, E: IndexSet, ring: Ring) -> WittVector:
     with a passing Dwork certificate (in which case every division is exact).
     """
     raw = [ring.raw(w[n]) for n in E]
-    if isinstance(ring, IntegerRing):
+    if ring == INTEGERS:
         ints = dict(zip(E, raw))
         if not dwork_check(ints, E):
             raise DworkError(f"{ints} is not integral: fails the Dwork congruences")
@@ -525,8 +525,8 @@ class WittRing(Ring):
     def el_from_str(self, s):
         s = s.strip()
         if not (s.startswith("(") and s.endswith(")")):
-            raise WittError(f"bad Witt literal {s!r}")
+            raise ParseError(f"bad Witt literal {s!r}")
         parts = s[1:-1].split(",")
         if len(parts) != len(self.E):
-            raise WittError("wrong number of coordinates")
+            raise ParseError("wrong number of coordinates")
         return tuple(self.coeff.el_from_str(p) for p in parts)

@@ -95,6 +95,11 @@ def test_cone(capsys):
     assert body["pi0"] == {"ring": "zmod:2"} and body["hom"] == [["2"]]
 
 
+def test_cone_empty_hom_set(capsys):
+    code, out, _ = run_cli(["cone", "--base", "integers", "--d", "0", "--hom", "0", "1"], capsys)
+    assert code == 0 and json.loads(out)["hom"] == []
+
+
 def test_rees(capsys):
     code, out, _ = run_cli(["rees", "--line", "1"], capsys)
     assert code == 0
@@ -347,6 +352,9 @@ def test_bad_index_set_exit_code(capsys):
          "--gens", "x,y", "--relations", "1*x*y"],
         # V_4 has no source over div:6: 4 is not in the index set
         ["verschiebung", "--n", "4", "--ring", "integers", "--index-set", "div:6", "--a", "1,2"],
+        # d = 0: Hom(r, r) is the whole ring, which is not listed
+        ["cone", "--base", "integers", "--d", "0", "--hom", "0", "0"],
+        ["cone", "--base", "rationals", "--d", "0", "--hom", "1/2", "1/2"],
     ],
 )
 def test_malformed_input_exit_code(argv, capsys):

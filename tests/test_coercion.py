@@ -13,12 +13,13 @@ from wittforge.prismatic import AffinePresentation
 from wittforge.rings import (
     INTEGERS,
     RATIONALS,
+    ParseError,
     RingError,
     RingMismatch,
     ValidationError,
     make_ring,
 )
-from wittforge.witt import WittRing, make_witt, teichmuller, unghost, witt_mul
+from wittforge.witt import WittRing, make_witt, teichmuller, unghost, witt_from_json, witt_mul
 
 Z, Q = INTEGERS, RATIONALS
 Z4 = make_ring("zmod:4")
@@ -76,6 +77,9 @@ CASES = {
     "W-float": (W4, 1.5, ValidationError),
     "W-wrong-length": (W4, (1,), ValidationError),
     "W-float-coordinate": (W4, (0.5, 1), ValidationError),
+    "W-literal": (W4, "(5, 7)", (1, 3)),
+    "W-bad-literal": (W4, "junk", ParseError),
+    "W-literal-wrong-length": (W4, "(1)", ParseError),
 }
 MATRIX = [
     pytest.param(entry, case, id=f"{entry}-{case}")
@@ -100,6 +104,14 @@ def test_every_entry_point_coerces_alike(entry, case):
 def test_a_fraction_keeps_its_identity():
     half = Fraction(1, 2)
     assert Q.raw(half) is half and Q.canonicalize(half) is half
+
+
+def test_a_bool_is_stored_as_its_int():
+    w = make_witt(E2, Z, [True, False])
+    assert [type(c) for c in w.coords] == [int, int] and w.coords == (1, 0)
+    assert w.to_json()["coords"] == {"1": "1", "2": "0"}
+    assert witt_from_json(w.to_json()) == w
+    assert ZX.raw((((1,), True),)) == (((1,), 1),)
 
 
 def test_teichmuller_takes_the_ring_of_an_element():

@@ -229,3 +229,28 @@ def test_pi0_univariate_rational_quotients():
     # a unit d kills everything; the zero ring keeps its fixed descriptor
     u = make_ring("quot(poly(rationals; u); 1*u^2+1)")
     assert pi0(QuasiIdeal.rank_one(u, u("1+1*u").value)) == "quot(poly(rationals; t); 1)"
+
+
+@pytest.mark.parametrize("ring,r", [(INTEGERS, 0), (RATIONALS, "1/2")])
+def test_an_infinite_hom_set_is_refused(ring, r):
+    # d = 0: every x lies in Hom(r, r), which is the whole ring
+    q = QuasiIdeal.rank_one(ring, 0)
+    with pytest.raises(UnsupportedRing):
+        cone_hom_set(q, r, r)
+    assert cone_hom_set(q, 0, 1) == []
+
+
+def test_ideal_hom_sets_over_a_rational_quotient():
+    r = make_ring("quot(poly(rationals; t); 1*t^2)")
+    q = QuasiIdeal.from_ideal(r, ["1*t"])
+    t = r.raw("1*t")
+    assert cone_hom_set(q, 0, t) == [t]
+    assert cone_hom_set(q, 0, 1) == []
+    assert cone_hom_set(QuasiIdeal.from_ideal(INTEGERS, [4, 6]), 1, 3) == [2]
+    assert cone_hom_set(QuasiIdeal.from_ideal(RATIONALS, [0]), "1/2", "1/2") == [0]
+
+
+def test_pi0_over_a_non_field_quotient_is_refused():
+    r = make_ring("quot(poly(integers; t); 1*t^2+1)")
+    with pytest.raises(UnsupportedRing):
+        cone_pi0(QuasiIdeal.rank_one(r, 2))

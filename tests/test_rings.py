@@ -346,3 +346,97 @@ def test_witt_nilpotent_index_needs_finite_ring():
     W = WittRing(index_set_make("div:2"), INTEGERS)
     with pytest.raises(UnsupportedRing):
         W.nilpotent_index(W.zero())
+
+
+# ---------------------------------------------------------------------------
+# Ring.quotient_by and Ring.divide against hand-computed oracles
+
+ZERO_RING = "quot(poly(rationals; t); 1)"
+
+
+@pytest.mark.parametrize(
+    "values,g", [([0], 0), ([1], 1), ([-1], 1), ([-3], 3), ([4, 6], 2), ([-4, 6], 2)]
+)
+def test_integer_quotient_by_is_the_gcd(values, g):
+    quotient, reduce = INTEGERS.quotient_by(values)
+    expected = {0: "integers", 1: ZERO_RING}.get(g, f"zmod:{g}")
+    assert quotient.descriptor() == expected
+    for n in range(-30, 31):
+        in_ideal = n == 0 if g == 0 else n % g == 0
+        assert (reduce(n) == quotient.zero()) == in_ideal, n
+        assert reduce(n * 7 + 3) == quotient.add(quotient.mul(reduce(n), reduce(7)), reduce(3))
+
+
+def test_rational_quotient_by():
+    assert RATIONALS.quotient_by([Fraction(0)])[0] == RATIONALS
+    quotient, reduce = RATIONALS.quotient_by([Fraction(0), Fraction(1, 2)])
+    assert quotient.descriptor() == ZERO_RING and reduce(Fraction(5, 3)) == quotient.zero()
+
+
+def test_integer_divide_matches_a_search():
+    for a in range(-3, 4):
+        for c in range(-20, 21):
+            solutions = [x for x in range(-60, 61) if a * x == c]
+            if a == 0 and c == 0:
+                assert len(solutions) == 121  # every x: no unique answer
+                with pytest.raises(UnsupportedRing):
+                    INTEGERS.divide(c, a)
+                continue
+            x = INTEGERS.divide(c, a)
+            assert solutions == ([] if x is None else [x]), (a, c)
+
+
+def test_rational_divide():
+    assert RATIONALS.divide(Fraction(1, 2), Fraction(3)) == Fraction(1, 6)
+    assert RATIONALS.divide(Fraction(1, 2), Fraction(0)) is None
+    with pytest.raises(UnsupportedRing):
+        RATIONALS.divide(Fraction(0), Fraction(0))
+
+
+def test_divide_by_a_unit_elsewhere():
+    q = make_ring("quot(poly(rationals; t); 1*t^2)")
+    a, c = q.raw("1+1*t"), q.raw("3*t")
+    assert q.mul(a, q.divide(c, a)) == c
+    with pytest.raises(UnsupportedRing):
+        q.divide(c, q.raw("1*t"))
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        "quot(poly(integers; t); 1*t^2+1)",
+        "quot(poly(zmod:4; t); 1*t^2+1)",
+        # a finite quotient's pi0 enumerates cosets and never asks for quotient_by
+        "quot(poly(zmod:5; t); 1*t^3+-1)",
+    ],
+)
+def test_quotient_by_needs_a_rational_base(desc):
+    R = make_ring(desc)
+    with pytest.raises(UnsupportedRing):
+        R.quotient_by([R.from_int(2)])
+
+
+# ---------------------------------------------------------------------------
+# the lift's reduce over Z/N against the full canonicalize
+
+LIFTED = ["poly(zmod:4; x)", "poly(zmod:12; x,y; inv y)", "quot(poly(zmod:8; t); 1*t^3+2*t+1)"]
+
+
+@pytest.mark.parametrize("desc", LIFTED)
+def test_lift_reduce_matches_canonicalize(desc):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    R = make_ring(desc)
+    S, reduce = R.lift()
+    poly = getattr(S, "poly", S)
+    exps = st.tuples(*(st.integers(-3, 3) if inv else st.integers(0, 4) for inv in poly._inv_mask))
+    values = st.lists(st.tuples(exps, st.integers(-40, 40)), max_size=7).map(S.canonicalize)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(values, values)
+    def check(a, b):
+        for v in (a, S.add(a, b), S.mul(a, b), S.neg(a)):
+            assert reduce(v) == R.canonicalize(v)
+        assert reduce(S.mul(a, b)) == R.mul(reduce(a), reduce(b))
+
+    check()
