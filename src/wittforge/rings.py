@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from operator import add as _add
 
@@ -63,11 +64,16 @@ class Ring:
     def __repr__(self):
         return self.descriptor()
 
+    @cached_property
+    def _key(self) -> str:
+        """The descriptor, built once: no ring changes after construction."""
+        return self.descriptor()
+
     def __eq__(self, other):
-        return isinstance(other, Ring) and self.descriptor() == other.descriptor()
+        return self is other or (isinstance(other, Ring) and self._key == other._key)
 
     def __hash__(self):
-        return hash(self.descriptor())
+        return hash(self._key)
 
     # -- raw arithmetic ----------------------------------------------------
     def zero(self):
@@ -853,6 +859,23 @@ class QuotientRing(Ring):
             return _zero_quotient()
         quotient = QuotientRing(self.poly, _sparse(base, g))
         return quotient, quotient.reduce
+
+    def divide(self, c, a):
+        """The unique x with a*x = c, or None.
+
+        Over Q a non-unit a leaves a*x = c without a solution when c is
+        outside (a), which quotient_by decides; otherwise the solutions are a
+        coset of the annihilator of a, which is infinite, and the solve is
+        refused.
+        """
+        inv = self.unit_inverse(a)
+        if inv is not None:
+            return self.mul(inv, c)
+        if isinstance(self.poly.base, RationalRing):
+            quotient, reduce = self.quotient_by([a])
+            if reduce(c) != quotient.zero():
+                return None
+        raise UnsupportedRing(f"linear solve unsupported over {self.descriptor()}")
 
     def _nilpotency_bound(self, a):
         # for nilpotent a the ideals a^k R shrink strictly until they are 0;

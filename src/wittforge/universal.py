@@ -29,12 +29,10 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 import tempfile
-from array import array
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import repeat
 
 from .indexset import IndexSet
 from .numutil import divisors, factorize
@@ -46,9 +44,6 @@ DEFAULT_TERM_CAP = 150_000
 SYMBOLIC_VERIFY_CAP = 4_000
 # version of the disk cache layout; a file of any other version is a miss
 CACHE_FORMAT = 2
-# exponent width in bytes -> array typecode of that item size
-_EXPONENT_TYPES = {1: "B", 2: "H", 4: "I", 8: "Q"}
-_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class GenerationError(Exception):
@@ -176,36 +171,33 @@ class UniversalEntry:
 
 
 def _level_to_json(p: IntPoly) -> dict:
-    """One level for the cache file: its exponents, flattened in term order into
-    little-endian unsigned ints of the narrowest width (1, 2, 4 or 8 bytes) that
-    holds the largest one and hex-encoded, and its coefficients as an int list
-    in the same order."""
-    top = max(chain.from_iterable(p.terms), default=0)
-    width = 1 if top < 1 << 8 else 2 if top < 1 << 16 else 4 if top < 1 << 32 else 8
-    flat = chain.from_iterable(p.terms)
-    if width == 1:
-        raw = bytes(flat)  # three times faster than array("B", flat)
-    else:
-        exps = array(_EXPONENT_TYPES[width], flat)
-        if _BIG_ENDIAN:
-            exps.byteswap()
-        raw = exps.tobytes()
-    return {"width": width, "exponents": raw.hex(), "coefficients": list(p.terms.values())}
+    """One level for the cache file: the exponent bytes of its keys at the
+    narrowest width (1, 2, 4 or 8 bytes per exponent, little-endian) that
+    holds its largest exponent, joined in term order and hex-encoded, and its
+    coefficients as an int list in the same order."""
+    if p.width > 1:
+        p = IntPoly(p.nvars, p.terms)  # its top may be a loose bound
+    step = p.width * p.nvars
+    raw = b"".join(map(int.to_bytes, p.packed, repeat(step), repeat("little")))
+    return {"width": p.width, "exponents": raw.hex(), "coefficients": list(p.packed.values())}
 
 
 def _level_from_json(data, nvars: int) -> IntPoly:
-    coeffs = data["coefficients"]
-    exps = array(_EXPONENT_TYPES[data["width"]], bytes.fromhex(data["exponents"]))
-    if _BIG_ENDIAN:
-        exps.byteswap()
-    if len(exps) != nvars * len(coeffs):
+    coeffs, width = data["coefficients"], data["width"]
+    if width not in (1, 2, 4, 8):
+        raise ValueError("exponent width is not 1, 2, 4 or 8 bytes")
+    raw = bytes.fromhex(data["exponents"])
+    step = width * nvars
+    if len(raw) != step * len(coeffs):
         raise ValueError("exponent length is not nvars times the number of terms")
-    terms = dict(zip(zip(*[iter(exps)] * nvars), coeffs))
-    if len(terms) != len(coeffs) or 0 in coeffs or set(map(type, coeffs)) - {int}:
+    keys = [int.from_bytes(raw[i : i + step], "little") for i in range(0, len(raw), step)]
+    packed = dict(zip(keys, coeffs))
+    if len(packed) != len(coeffs) or 0 in coeffs or set(map(type, coeffs)) - {int}:
         raise ValueError("duplicate monomials, or coefficients that are zero or not integers")
-    p = IntPoly(nvars)
-    p.terms = terms
-    return p
+    exps = raw if width == 1 else (
+        int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
+    )
+    return IntPoly.from_packed(nvars, width, max(exps, default=0), packed)
 
 
 def _entry_from_json(obj) -> UniversalEntry:
@@ -239,7 +231,7 @@ def _certify_step(E: IndexSet, op: str, n: int):
         target_m = _ghost_target(E, op, n // p)
         diff = target_n - target_m.frobenius_substitute(p)
         modulus = p**r
-        for c in diff.terms.values():
+        for c in diff.packed.values():
             if c % modulus:
                 raise InexactDivision(
                     f"ghost congruence fails at level {n}, prime {p}: coefficient {c}"

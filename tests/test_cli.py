@@ -100,6 +100,22 @@ def test_cone_empty_hom_set(capsys):
     assert code == 0 and json.loads(out)["hom"] == []
 
 
+QUOT_T3 = ["cone", "--base", "quot(poly(rationals; t); 1*t^3)", "--d", "1*t"]
+
+
+def test_cone_empty_hom_set_non_unit(capsys):
+    # t*x = 1 has no solution in Q[t]/(t^3): 1 is not in the ideal (t)
+    code, out, _ = run_cli(QUOT_T3 + ["--hom", "0", "1"], capsys)
+    assert code == 0 and json.loads(out)["hom"] == []
+
+
+def test_cone_infinite_hom_set_is_refused(capsys):
+    # t*x = t^2 holds for every x in t + (t^2), an infinite set
+    code, out, err = run_cli(QUOT_T3 + ["--hom", "0", "1*t^2"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: linear solve unsupported") and "Traceback" not in err
+
+
 def test_rees(capsys):
     code, out, _ = run_cli(["rees", "--line", "1"], capsys)
     assert code == 0

@@ -1,10 +1,13 @@
 """The packed-key engine of IntPoly against independent slow paths: a naive
-product on exponent tuples, and evaluation at random integer points."""
+product on exponent tuples, and evaluation at random integer points.
+
+The strategies draw exponents on both sides of 255 -> 256, so that products,
+powers, sums and substitutions cross from one-byte to two-byte keys."""
 
 import pytest
 
 from wittforge.rings import INTEGERS
-from wittforge.sparsepoly import IntPoly, _maxima, _pack, _pmul, _unpack
+from wittforge.sparsepoly import IntPoly, _pmul, _width_for
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -28,13 +31,25 @@ def naive_pow(a: dict, k: int, nvars: int) -> dict:
     return out
 
 
+def exponents(max_exp):
+    """Small exponents, or exponents just below or past a one-byte field."""
+    return st.integers(0, max_exp) | st.integers(254, 257)
+
+
 @st.composite
 def polys(draw, nvars, max_exp=4, max_terms=5):
     """Sparse polynomials, often zero or constant, often missing some variables."""
     used = draw(st.sets(st.integers(0, nvars - 1), max_size=nvars)) if nvars else set()
-    exps = st.tuples(*(st.integers(0, max_exp if i in used else 0) for i in range(nvars)))
+    exps = st.tuples(*(exponents(max_exp) if i in used else st.just(0) for i in range(nvars)))
     terms = draw(st.dictionaries(exps, st.integers(-9, 9), max_size=max_terms))
     return IntPoly(nvars, terms)
+
+
+def naive_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
 
 
 def evaluate(p, point):
@@ -113,14 +128,54 @@ def test_pmul_into_cancelling_out(data):
     product = naive_mul(p.terms, q.terms)
     cancel = {e: -c for e, c in product.items() if data.draw(st.booleans())}
     r = IntPoly(nvars, cancel) + data.draw(polys(nvars))
-    radices = [max(a + b, c) + 1 for a, b, c in zip(_maxima(p), _maxima(q), _maxima(r))]
-    out = _pack(r, radices)
-    a, b = _pack(p, radices), _pack(q, radices)
+    width = max(p.width, q.width, r.width, _width_for(p.top + q.top))
+    a, b = p._at(width), q._at(width)
     if data.draw(st.booleans()):
         a, b = b, a
-    got = _unpack(_pmul(a, b, out), radices, nvars)
-    assert 0 not in got.terms.values()
-    assert got.terms == (r + IntPoly(nvars, product)).terms
+    out = _pmul(a, b, dict(r._at(width)))
+    got = IntPoly.from_packed(nvars, width, max(p.top + q.top, r.top), out)
+    assert 0 not in out.values()
+    assert got.terms == naive_add(r.terms, product)
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_add_and_sub(data):
+    # q repeats some of p's terms with opposite signs, so that they cancel,
+    # and its exponents may be wider or narrower than p's
+    nvars, point = data.draw(cases())
+    p = data.draw(polys(nvars))
+    cancel = {e: -c for e, c in p.terms.items() if data.draw(st.booleans())}
+    q = IntPoly(nvars, cancel) + data.draw(polys(nvars))
+    assert (p + q).terms == naive_add(p.terms, q.terms)
+    assert (p - q).terms == naive_add(p.terms, {e: -c for e, c in q.terms.items()})
+    assert 0 not in (p + q).terms.values()
+    assert evaluate(p - q, point) == evaluate(p, point) - evaluate(q, point)
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_equal_across_widths(data):
+    # adding and removing a term with exponent 300 leaves p's terms on
+    # two-byte keys: still equal to p, with the same hash
+    nvars = data.draw(st.integers(1, 4))
+    p = data.draw(polys(nvars, max_exp=3))
+    wide = IntPoly.var(nvars, data.draw(st.integers(0, nvars - 1)), power=300)
+    q = (p + wide) - wide
+    assert q.width == max(2, p.width) and q.terms == p.terms
+    assert q == p and p == q and hash(q) == hash(p)
+    assert q + IntPoly.const(nvars, 1) != p
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_frobenius_substitute(data):
+    nvars, point = data.draw(cases())
+    p = data.draw(polys(nvars))
+    k = data.draw(st.sampled_from([2, 3, 5, 257]))
+    pk = p.frobenius_substitute(k)
+    assert pk.terms == {tuple(k * e for e in exps): c for exps, c in p.terms.items()}
+    assert evaluate(pk, point) == evaluate(p, [v**k for v in point])
 
 
 def test_edge_cases():
@@ -129,7 +184,7 @@ def test_edge_cases():
     assert (zero * x).terms == {} and (x * zero).terms == {}
     assert (zero**0).terms == {(0, 0): 1} and (zero**3).terms == {}
     assert (three * x**2).terms == {(2, 0): 3}
-    # variables missing from one factor: the radix must come from both
+    # variables missing from one factor
     assert (x**3 * y**2).terms == {(3, 2): 1}
     assert ((x + y) * x**2).terms == {(3, 0): 1, (2, 1): 1}
     assert IntPoly.power_sum(2, [(1, x + y, 2), (-1, x, 2), (-1, y, 2)]).terms == {(1, 1): 2}
@@ -139,6 +194,32 @@ def test_edge_cases():
     assert _pmul({0: 2}, {0: 3}, {0: -6}) == {}
     with pytest.raises(ValueError):
         x**-1
+
+
+def test_widths():
+    assert [_width_for(e) for e in (0, 255, 256, 65535, 65536, 2**32 - 1, 2**32)] == [
+        1, 1, 2, 2, 4, 4, 8]
+    assert _width_for(2**64 - 1) == 8 and _width_for(2**64) == 16
+    for e in (255, 256, 2**16, 2**40, 2**63):
+        x = IntPoly.var(2, 1, power=e, coeff=-2)
+        assert x.width == _width_for(e) and x.terms == {(0, e): -2}
+        assert (x * x).terms == {(0, 2 * e): 4}
+        assert (x**3).terms == {(0, 3 * e): -8}
+        assert (x * IntPoly.var(2, 0)).terms == {(1, e): -2}
+    # a width-one polynomial whose product needs two bytes
+    p = IntPoly(2, {(200, 1): 1, (0, 100): 3})
+    assert (p * p).width == 2 and (p * p).terms == naive_mul(p.terms, p.terms)
+
+
+def test_terms_view_is_read_only():
+    p = IntPoly(2, {(1, 0): 2, (0, 3): -1})
+    view = p.terms
+    assert len(view) == 2 and view[(0, 3)] == -1 and (1, 0) in view
+    assert (300, 0) not in view and (-1, 0) not in view and (1,) not in view
+    assert view.get((2, 2)) is None and sorted(view) == [(0, 3), (1, 0)]
+    with pytest.raises(TypeError):
+        view[(2, 2)] = 1
+    assert dict(view.items()) == {(1, 0): 2, (0, 3): -1} == view
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +238,7 @@ def symmetric_polys(draw, half, max_exp=3):
     with their mirrors, so that those monomials cancel again."""
     nvars = 2 * half
     p = draw(polys(nvars, max_exp))
-    block = st.tuples(*(st.integers(0, max_exp) for _ in range(half)))
+    block = st.tuples(*(exponents(max_exp) for _ in range(half)))
     fixed = draw(st.dictionaries(block, st.integers(-9, 9), max_size=3))
     f = IntPoly(nvars, {e + e: c for e, c in fixed.items()})
     cancel = IntPoly(nvars, {e: c for e, c in p.terms.items() if draw(st.booleans())})
@@ -214,15 +295,15 @@ def test_symmetric_power_sum(data):
 @SETTINGS
 @hypothesis.given(st.data())
 def test_symmetric_maxima_without_symmetry(data):
-    # equal halves of the radices but a coefficient that breaks the swap
-    # invariance: the power must fall back to the plain path
+    # a support that is swap-invariant but a coefficient that breaks the
+    # swap invariance: the power must fall back to the plain path
     half, _ = data.draw(symmetric_cases())
     nvars = 2 * half
     p = data.draw(symmetric_polys(half, max_exp=2))
     movable = [e for e in sorted(p.terms) if e[half:] + e[:half] != e]
     hypothesis.assume(movable)
     e = data.draw(st.sampled_from(movable))
-    # doubling one coefficient keeps the support, hence the maxima
+    # doubling one coefficient keeps the support
     p = p + IntPoly(nvars, {e: p.terms[e]})
     assert swapped(p) != p
     k = data.draw(st.integers(3, 4))

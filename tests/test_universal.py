@@ -1,9 +1,12 @@
 import hashlib
 import json
 import os
+import shutil
 import sys
 import threading
+import tracemalloc
 import types
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +125,60 @@ def test_json_round_trip_two_byte_exponents(tmp_path, monkeypatch):
         written.append((tmp_path / sub / name).read_bytes())
     clear_memory_cache()
     assert written[0] == written[1]
+
+
+# a cache file written by the tuple-keyed engine that packed levels replaced:
+# level 1 on one-byte exponents, level 257 on two-byte ones (x1^256), level
+# 66049 certified
+FIXTURE = Path(__file__).parent / "data" / "sum__1_257_66049.json"
+
+
+def test_cache_file_of_tuple_keyed_engine_loads(tmp_path, monkeypatch):
+    E = index_set_make("ptyp:257:2")
+    expected = generate_universal_polynomials(E, "sum")
+    obj = json.loads(FIXTURE.read_text())
+    assert [obj["polynomials"][n]["width"] for n in ("1", "257")] == [1, 2]
+    shutil.copy(FIXTURE, tmp_path)
+    monkeypatch.setenv("WITTFORGE_CACHE_DIR", str(tmp_path))
+
+    def no_generation(*args):
+        raise AssertionError("the cache file was not used")
+
+    monkeypatch.setattr(universal, "generate_universal_polynomials", no_generation)
+    clear_memory_cache()
+    try:
+        loaded = get_universal(E, "sum")
+    finally:
+        clear_memory_cache()
+    assert loaded.polys == expected.polys and loaded.certified == expected.certified == [66049]
+    assert loaded.poly(257).terms == expected.poly(257).terms
+
+
+def test_two_byte_level_round_trips():
+    # loading and writing again gives the file back byte for byte
+    text = FIXTURE.read_text()
+    entry = _entry_from_json(json.loads(text))
+    assert entry.poly(257).width == 2 and entry.poly(1).width == 1
+    assert json.dumps(entry.to_json()) == text
+
+
+def test_stored_terms_stay_packed(monkeypatch):
+    # bytes held per stored term: a dict entry, a packed key and a coefficient
+    # come to about 100; a tuple of exponents per term took about 220
+    monkeypatch.delenv("WITTFORGE_CACHE_DIR", raising=False)
+    E = index_set_make("div:24")
+    clear_memory_cache()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        entry = get_universal(E, "sum")
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        clear_memory_cache()
+    terms = sum(p.num_terms() for p in entry.polys.values() if p is not None)
+    assert terms == 10_072
+    assert held / terms < 150
 
 
 def _old_format(entry):
