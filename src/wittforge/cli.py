@@ -197,13 +197,10 @@ def cmd_cone(args):
     if ok:
         try:
             p0 = cone_pi0(q)
-            if p0.kind == "ring":
-                out["pi0"] = {"ring": p0.quotient_ring.descriptor()}
+            if ring.size() is None:
+                out["pi0"] = {"ring": p0.descriptor()}
             else:
-                out["pi0"] = {
-                    "classes": len(p0.classes),
-                    "image_size": len(p0.image),
-                }
+                out["pi0"] = {"classes": p0.size(), "image_size": ring.size() // p0.size()}
         except UnsupportedRing as e:
             out["pi0"] = {"unsupported": str(e)}
         if args.hom:
@@ -340,8 +337,9 @@ def build_parser():
     sp.set_defaults(fn=cmd_teich)
 
     def context_args(sp):
-        sp.add_argument("--p", type=int, default=None, help="the non-inverted prime")
-        sp.add_argument("--rational", action="store_true", help="all primes invertible")
+        group = sp.add_mutually_exclusive_group()
+        group.add_argument("--p", type=int, default=None, help="the non-inverted prime")
+        group.add_argument("--rational", action="store_true", help="all primes invertible")
 
     sp = subs.add_parser("decompose", help="local decomposition into p-typical factors")
     witt_args(sp)

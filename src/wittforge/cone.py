@@ -103,12 +103,12 @@ class FreeModule(Module):
         return [self.ring.el_to_str(c) for c in x]
 
     def elements(self):
-        base = list(self.ring.elements())
-        for combo in iter_product(base, repeat=self.rank):
-            yield combo
+        # the zero module has one element over any ring
+        base = list(self.ring.elements()) if self.rank else []
+        return iter_product(base, repeat=self.rank)
 
     def size(self):
-        s = self.ring.size()
+        s = self.ring.size() if self.rank else 1
         return None if s is None else s**self.rank
 
 
@@ -137,28 +137,18 @@ class IdealModule(Module):
     def d(self, d_gens, x):
         return x  # the inclusion: each generator is its own d-value
 
+    @cached_property
+    def _quotient(self):
+        """R/I and the map onto it, built once per module."""
+        return self.ring.quotient_by(self._gens)
+
     def solve(self, d_gens, target):
-        # d is injective, and its image is the ideal the d-values generate
-        quotient, reduce = self.ring.quotient_by(d_gens)
+        # d is the inclusion: injective, with the ideal itself as its image
+        quotient, reduce = self._quotient
         return [target] if reduce(target) == quotient.zero() else []
 
     def el_to_str(self, x):
         return self.ring.el_to_str(x)
-
-    @cached_property
-    def _elements(self) -> list:
-        """The ideal, built once and sorted by repr."""
-        return sorted(_ideal(self.ring, self._gens), key=repr)
-
-    def elements(self):
-        if self.ring.size() is None:
-            raise UnsupportedRing("ideal enumeration needs a finite ring")
-        return iter(self._elements)
-
-    def size(self):
-        if self.ring.size() is None:
-            return None
-        return len(self._elements)
 
 
 @dataclass
@@ -182,21 +172,6 @@ class QuasiIdeal:
     def from_ideal(cls, ring: Ring, generators) -> "QuasiIdeal":
         mod = IdealModule(ring, generators)
         return cls(ring, mod, mod.generators())
-
-
-def _ideal(ring: Ring, gens) -> frozenset:
-    """The ideal of a finite ring generated by gens."""
-    seen = {ring.zero()}
-    frontier = [ring.zero()]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            for r in ring.elements():
-                y = ring.add(x, ring.mul(r, g))
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-    return frozenset(seen)
 
 
 def quasi_ideal_to_json(q: QuasiIdeal) -> dict:
@@ -224,7 +199,10 @@ def quasi_ideal_from_json(obj) -> QuasiIdeal:
         raise UnsupportedRing("relation matrices are not supported; use a free module")
     ring = make_ring(obj["base"])
     rank = len(obj["d"])
-    if rank != obj.get("generators", rank):
+    generators = obj.get("generators", rank)
+    if type(generators) is not int:  # a JSON true would pass as 1
+        raise ConeError('"generators" must be an integer')
+    if generators != rank:
         raise UnsupportedRing("generator count does not match the d-values")
     return QuasiIdeal(ring, FreeModule(ring, rank), obj["d"])
 
@@ -287,48 +265,9 @@ def cone_level_arith(q: QuasiIdeal, n: int, op: str, u, v=None):
 # pi_0 = coker(d) and hom sets
 
 
-@dataclass
-class Pi0:
-    """R / image(d), either as explicit cosets or a structured quotient ring."""
-
-    kind: str  # "cosets" or "ring"
-    ring: Ring
-    image: frozenset | None = None
-    classes: list | None = None
-    quotient_ring: Ring | None = None
-    index: dict | None = None  # element -> position of its class in classes
-
-    def size(self):
-        if self.kind == "cosets":
-            return len(self.classes)
-        s = self.quotient_ring.size()
-        return s
-
-    def class_of(self, r):
-        if self.kind != "cosets":
-            raise ConeError("structured quotient: use the quotient ring map")
-        i = self.index.get(r)
-        if i is None:
-            raise ConeError("value outside the enumerated ring")
-        return i
-
-
-def cone_pi0(q: QuasiIdeal) -> Pi0:
-    ring = q.ring
-    # the image of d is the ideal generated by the d-values of the generators
-    dvals = [q.d(g) for g in q.module.generators()]
-    if ring.size() is not None:
-        image = _ideal(ring, dvals)
-        classes = []
-        index = {}
-        for r in ring.elements():
-            if r in index:
-                continue
-            i = len(classes)
-            classes.append(r)
-            index.update((ring.add(r, x), i) for x in image)
-        return Pi0("cosets", ring, image=image, classes=classes, index=index)
-    return Pi0("ring", ring, quotient_ring=ring.quotient_by(dvals)[0])
+def cone_pi0(q: QuasiIdeal) -> Ring:
+    """pi_0 = R / image(d), the quotient by the ideal of the d-values."""
+    return q.ring.quotient_by([q.d(g) for g in q.module.generators()])[0]
 
 
 def cone_hom_set(q: QuasiIdeal, r1, r2, cap: int = 10**6):

@@ -30,11 +30,12 @@ them compute.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iter_product
 
-from .cone import Pi0, QuasiIdeal, cone_pi0
+from .cone import QuasiIdeal, cone_pi0
 from .indexset import IndexSet
 from .rings import PolyRing, Ring, INTEGERS
 from .sparsepoly import IntPoly
@@ -107,70 +108,42 @@ class PrismaticContext:
 class WbarModel:
     context: PrismaticContext
     quasi_ideal: QuasiIdeal
-    pi0: Pi0  # W_E(R) / (xi)
-    rbar: Pi0  # R / (xi_1)
+    pi0: Ring  # W_E(R) / (xi)
+    rbar: Ring  # R / (xi_1)
+    to_rbar: Callable  # the reduction R -> R / (xi_1)
 
-    def pi0_to_rbar(self, cls_index: int) -> int:
-        w = self.pi0.classes[cls_index]
-        return self.rbar.class_of(w[0])
-
-    def r_to_rbar(self, r) -> int:
-        return self.rbar.class_of(r)
+    def _kernel(self) -> list:
+        """The classes of pi0 that the first coordinate sends to zero in rbar."""
+        zero = self.rbar.zero()
+        return [w for w in self.pi0.elements() if self.to_rbar(w[0]) == zero]
 
     def check_pi0_maps(self):
         """Surjectivity and nilpotent kernels of pi0(Wbar_n(R)) -> Rbar <- R."""
-        hit = {self.pi0_to_rbar(i) for i in range(len(self.pi0.classes))}
-        if hit != set(range(len(self.rbar.classes))):
+        ring, rbar = self.context.ring, self.rbar
+        every = set(rbar.elements())
+        if {self.to_rbar(w[0]) for w in self.pi0.elements()} != every:
             return False
-        if {self.r_to_rbar(r) for r in self.context.ring.elements()} != set(
-            range(len(self.rbar.classes))
-        ):
+        if {self.to_rbar(r) for r in ring.elements()} != every:
             return False
-        zero_cls = self.rbar.class_of(self.context.ring.zero())
-        wr = self.context.witt_ring
-        zero_w = self.pi0.class_of(wr.zero())
-        for i in range(len(self.pi0.classes)):
-            if self.pi0_to_rbar(i) == zero_cls:
-                if not self._pi0_nilpotent(i, zero_w):
-                    return False
-        for r in self.context.ring.elements():
-            if self.r_to_rbar(r) == zero_cls:
-                if self.context.ring.nilpotent_index(r) is None:
-                    return False
-        return True
-
-    def _pi0_nilpotent(self, cls_index: int, zero_cls: int) -> bool:
-        # pi0 is a finite ring: a nilpotent class has index <= log2 |pi0|
-        bound = len(self.pi0.classes).bit_length() - 1
-        power = self.context.witt_ring.pow(self.pi0.classes[cls_index], bound)
-        return self.pi0.class_of(power) == zero_cls
+        if any(self.pi0.nilpotent_index(w) is None for w in self._kernel()):
+            return False
+        zero = rbar.zero()
+        return all(
+            ring.nilpotent_index(r) is not None for r in ring.elements() if self.to_rbar(r) == zero
+        )
 
     def kernel_squares_into_ideal(self) -> bool:
         """Every pi0-kernel class has square zero in pi0 (VW^2 inside (xi))."""
-        zero_cls = self.rbar.class_of(self.context.ring.zero())
-        wr = self.context.witt_ring
-        zero_w = self.pi0.class_of(wr.zero())
-        for i in range(len(self.pi0.classes)):
-            if self.pi0_to_rbar(i) != zero_cls:
-                continue
-            rep = self.pi0.classes[i]
-            # quotient further to R/(x): the class of VW + (xi); its square
-            for j in range(len(self.pi0.classes)):
-                if self.pi0_to_rbar(j) != zero_cls:
-                    continue
-                prod = wr.mul(rep, self.pi0.classes[j])
-                if self.pi0.class_of(prod) != zero_w:
-                    return False
-        return True
+        kernel, zero = self._kernel(), self.pi0.zero()
+        return all(self.pi0.mul(u, v) == zero for u in kernel for v in kernel)
 
 
 def wbar_ring(ctx: PrismaticContext) -> WbarModel:
     if ctx.ring.size() is None:
         raise EnumerationBudget("wbar model needs a finite ring")
     q = ctx.quasi_ideal()
-    pi0 = cone_pi0(q)
-    rbar = cone_pi0(QuasiIdeal.rank_one(ctx.ring, ctx.xi.coords[0]))
-    return WbarModel(ctx, q, pi0, rbar)
+    rbar, to_rbar = ctx.ring.quotient_by([ctx.xi.coords[0]])
+    return WbarModel(ctx, q, cone_pi0(q), rbar, to_rbar)
 
 
 # ---------------------------------------------------------------------------

@@ -155,8 +155,12 @@ class Ring:
 
     def quotient_by(self, values):
         """(R/I, reduce) for the ideal I the values generate, in the shape of
-        lift(): reduce maps a raw value here to its image in R/I."""
-        raise UnsupportedRing(f"pi0 unsupported over {self.descriptor()}")
+        lift(): reduce maps a raw value here to its image in R/I.  A finite
+        ring answers with its table of cosets."""
+        if self.size() is None:
+            raise UnsupportedRing(f"pi0 unsupported over {self.descriptor()}")
+        quotient = CosetRing(self, values)
+        return quotient, quotient.canonicalize
 
     def divide(self, c, a):
         """The unique x with a*x = c, or None; by default only a unit a divides."""
@@ -848,10 +852,10 @@ class QuotientRing(Ring):
         return inv if self.mul(a, inv) == self.one() else None
 
     def quotient_by(self, values):
-        """Q[t]/(gcd(g, values)); a finite quotient's pi0 enumerates its cosets instead."""
+        """Q[t]/(gcd(g, values)) over Q; other bases as for every ring."""
         base = self.poly.base
         if not isinstance(base, RationalRing):
-            raise UnsupportedRing(f"pi0 unsupported over {self.descriptor()}")
+            return super().quotient_by(values)
         g = self._g
         for v in values:
             g, _ = _gcd_cofactor(base, g, _dense(base, v))
@@ -929,6 +933,57 @@ class QuotientRing(Ring):
         for (e,), c in self.poly.el_from_str(s):
             out = self.add(out, self.mul(self.pow(t, e), self.reduce(self.poly.constant(c))))
         return out
+
+
+class CosetRing(Ring):
+    """R/I for a finite ring R and the ideal I some values generate.
+
+    A value is the representative of its coset: the first member in
+    R.elements() order.  canonicalize is the reduction map R -> R/I.
+    """
+
+    def __init__(self, base: Ring, values):
+        self.base = base
+        self.values = tuple(values)
+        elements = list(base.elements())
+        ideal = {base.zero()}
+        for g in self.values:  # I = g_1 R + ... + g_k R, one sum at a time
+            multiples = {base.mul(r, g) for r in elements}
+            ideal = {base.add(x, y) for x in ideal for y in multiples}
+        self._rep = {}  # every element of R -> the representative of its coset
+        self._classes = []
+        for r in elements:
+            if r not in self._rep:
+                self._classes.append(r)
+                self._rep.update((base.add(r, x), r) for x in ideal)
+
+    def descriptor(self):
+        gens = ", ".join(self.base.el_to_str(v) for v in self.values)
+        return f"{self.base.descriptor()}/({gens})"
+
+    def canonicalize(self, a):
+        return self._rep[self.base.canonicalize(a)]
+
+    def zero(self):
+        return self._rep[self.base.zero()]
+
+    def one(self):
+        return self._rep[self.base.one()]
+
+    def add(self, a, b):
+        return self._rep[self.base.add(a, b)]
+
+    def neg(self, a):
+        return self._rep[self.base.neg(a)]
+
+    def mul(self, a, b):
+        return self._rep[self.base.mul(a, b)]
+
+    def size(self):
+        return len(self._classes)
+
+    def elements(self):
+        return iter(self._classes)
 
 
 def _zero_quotient():

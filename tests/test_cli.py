@@ -338,6 +338,16 @@ def test_cone_json_input(capsys):
     assert json.loads(out)["pi0"] == {"classes": 2, "image_size": 2}
 
 
+@pytest.mark.parametrize("base", ["zmod:4", "integers"])
+def test_cone_zero_module_hom_set(base, capsys):
+    # the zero module has one element, whatever the ring
+    obj = f'{{"base":"{base}","d":[]}}'
+    code, out, _ = run_cli(["cone", "--json", obj, "--hom", "0", "0"], capsys)
+    assert code == 0 and json.loads(out)["hom"] == [[]]
+    code, out, _ = run_cli(["cone", "--json", obj, "--hom", "0", "1"], capsys)
+    assert code == 0 and json.loads(out)["hom"] == []
+
+
 def test_bad_index_set_exit_code(capsys):
     code, _, err = run_cli(
         ["ghost", "--ring", "integers", "--index-set", "div:0", "--a", "1"], capsys
@@ -371,6 +381,13 @@ def test_bad_index_set_exit_code(capsys):
         # d = 0: Hom(r, r) is the whole ring, which is not listed
         ["cone", "--base", "integers", "--d", "0", "--hom", "0", "0"],
         ["cone", "--base", "rationals", "--d", "0", "--hom", "1/2", "1/2"],
+        # a JSON boolean equals 1 or 0 in Python, but it is no generator count
+        ["cone", "--json", '{"base":"zmod:4","d":["2"],"generators":true}'],
+        ["cone", "--json", '{"base":"zmod:4","d":[],"generators":false}'],
+        ["cone", "--json", '{"base":"zmod:4","d":["2"],"generators":1.0}'],
+        # one local context: a prime or all primes inverted, never both
+        ["decompose", "--ring", "zmod:9", "--index-set", "div:6", "--a", "1,0,0,0",
+         "--p", "3", "--rational"],
     ],
 )
 def test_malformed_input_exit_code(argv, capsys):

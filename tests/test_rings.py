@@ -402,18 +402,85 @@ def test_divide_by_a_unit_elsewhere():
 
 
 @pytest.mark.parametrize(
-    "desc",
+    "desc,size",
     [
+        ("quot(poly(integers; t); 1*t^2+1)", None),
+        # finite quotients answer with their coset table: F_2[t]/(t^2+1), and
+        # the zero ring, since 2 is a unit mod 5
+        ("quot(poly(zmod:4; t); 1*t^2+1)", 4),
+        ("quot(poly(zmod:5; t); 1*t^3+-1)", 1),
+    ],
+    ids=[
         "quot(poly(integers; t); 1*t^2+1)",
         "quot(poly(zmod:4; t); 1*t^2+1)",
-        # a finite quotient's pi0 enumerates cosets and never asks for quotient_by
         "quot(poly(zmod:5; t); 1*t^3+-1)",
     ],
 )
-def test_quotient_by_needs_a_rational_base(desc):
+def test_quotient_by_needs_a_rational_base(desc, size):
+    """An infinite quotient answers only over Q; a finite one always does."""
     R = make_ring(desc)
-    with pytest.raises(UnsupportedRing):
-        R.quotient_by([R.from_int(2)])
+    if size is None:
+        with pytest.raises(UnsupportedRing):
+            R.quotient_by([R.from_int(2)])
+    else:
+        assert R.quotient_by([R.from_int(2)])[0].size() == size
+
+
+# ---------------------------------------------------------------------------
+# the coset table a finite ring's quotient_by builds
+
+
+def _coset_cases():
+    z4 = make_ring("zmod:4")
+    W = WittRing(index_set_make("div:2"), z4)
+    Zt = make_ring("quot(poly(zmod:4; t); 1*t^2+1)")
+    return {
+        "W2(Z4)/(2,3)": (W, [(2, 3)]),
+        "Z12/(4,6)": (make_ring("zmod:12"), [4, 6]),
+        "Z4[t]/(t^2+1)/(t+1)": (Zt, [Zt.raw("1*t+1")]),
+        "Z4[t]/(t^2+1)/(2)": (Zt, [Zt.from_int(2)]),  # F_2[t]/((t+1)^2): t+1 is nilpotent
+    }
+
+
+@pytest.mark.parametrize("name", list(_coset_cases()))
+def test_coset_ring_axioms_and_reduction(name):
+    R, values = _coset_cases()[name]
+    Q, reduce = R.quotient_by(values)
+    els = list(Q.elements())
+    assert len(els) == len(set(els)) == Q.size() and len(els) < R.size()
+    for a in els:
+        assert Q.add(a, Q.zero()) == Q.mul(a, Q.one()) == a
+        assert Q.add(a, Q.neg(a)) == Q.zero()
+        for b in els:
+            assert Q.add(a, b) == Q.add(b, a) and Q.mul(a, b) == Q.mul(b, a)
+            for c in els:
+                assert Q.add(Q.add(a, b), c) == Q.add(a, Q.add(b, c))
+                assert Q.mul(Q.mul(a, b), c) == Q.mul(a, Q.mul(b, c))
+                assert Q.mul(a, Q.add(b, c)) == Q.add(Q.mul(a, b), Q.mul(a, c))
+    # reduce is a ring map onto Q that kills the values and fixes the classes
+    assert reduce(R.one()) == Q.one() and reduce(R.zero()) == Q.zero()
+    assert all(reduce(v) == Q.zero() for v in values)
+    assert all(reduce(a) == a for a in els)
+    for a in R.elements():
+        assert reduce(R.neg(a)) == Q.neg(reduce(a))
+        for b in R.elements():
+            assert reduce(R.add(a, b)) == Q.add(reduce(a), reduce(b))
+            assert reduce(R.mul(a, b)) == Q.mul(reduce(a), reduce(b))
+
+
+@pytest.mark.parametrize("name", list(_coset_cases()))
+def test_coset_ring_nilpotent_index_matches_a_search(name):
+    R, values = _coset_cases()[name]
+    Q = R.quotient_by(values)[0]
+    indices = []
+    for a in Q.elements():
+        # a nilpotent element's index is at most log2 |Q| < |Q|
+        powers = [Q.pow(a, k) for k in range(1, Q.size() + 1)]
+        expected = next((k for k, x in enumerate(powers, 1) if x == Q.zero()), None)
+        assert Q.nilpotent_index(a) == expected, a
+        indices.append(expected)
+    if name == "Z4[t]/(t^2+1)/(2)":
+        assert sorted(indices, key=str) == [1, 2, None, None]
 
 
 # ---------------------------------------------------------------------------
