@@ -9,6 +9,7 @@ verification suites for every identity the constructions rest on.
 """
 
 from .indexset import IndexSet, index_set_make
+from .numutil import WittforgeError
 from .rings import (
     INTEGERS,
     RATIONALS,
@@ -59,6 +60,7 @@ __all__ = [
     "VModuleLocal",
     "WittRing",
     "WittVector",
+    "WittforgeError",
     "dwork_check",
     "elem_arith",
     "elem_is_nilpotent",

@@ -3,7 +3,8 @@
 JSON goes to standard output (sorted keys, so identical invocations give
 byte-identical output); `--pretty` indents it.  Exit codes: 0 on success,
 1 when a predicate is false or a verification suite fails, 2 on usage errors
-and on every library error, each reported as one `error:` line on stderr.
+and on every library error (a WittforgeError), each reported as one
+`error: <Class>: <message>` line on stderr.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ import argparse
 import json
 import sys
 
-from .cone import ConeError, QuasiIdeal, UnsupportedRing, cone_hom_set, cone_pi0, quasi_ideal_check
-from .derham import DeRhamError, MonomialAlgebra, hodge_cohomology
+from .cone import QuasiIdeal, cone_hom_set, cone_pi0, quasi_ideal_check
+from .derham import MonomialAlgebra, hodge_cohomology
 from .filtration import (
-    FiltrationError,
     Subspace,
     filtered_line,
     filtered_of_rees,
@@ -23,23 +23,22 @@ from .filtration import (
     shift_filtration,
     step_filtration,
 )
-from .indexset import IndexSet, IndexSetError, index_set_make
+from .indexset import IndexSet, index_set_make
+from .numutil import WittforgeError
 from .prismatic import (
     DEFAULT_POINT_CAP,
     AffinePresentation,
     PrismaticContext,
-    PrismaticError,
     prismatic_points_affine,
     witt_points,
 )
-from .rings import RingError, make_ring
+from .rings import UnsupportedRing, make_ring
 from .structure import LocalContext, is_distinguished, is_hodge_tate, local_decompose
 from .suites import SUITES, Budget, coverage_map, suite_run
-from .universal import GenerationError
-from .witt import WittError, frobenius, ghost, make_witt, teichmuller, verschiebung, witt_add, witt_mul, witt_neg, witt_sub
+from .witt import frobenius, ghost, make_witt, teichmuller, verschiebung, witt_add, witt_mul, witt_neg, witt_sub
 
 
-class UsageError(Exception):
+class UsageError(WittforgeError):
     pass
 
 
@@ -276,9 +275,6 @@ def cmd_verify(args):
         return 0
     budget = Budget(enum_cap=args.budget_enum, term_cap=args.budget_terms)
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    for name in names:
-        if name not in SUITES:
-            raise UsageError(f"unknown suite {name!r}; see verify --list")
     reports = [suite_run(name, args.seed, budget) for name in names]
     ok = all(r.ok() for r in reports)
     out = {
@@ -408,19 +404,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (
-        UsageError,
-        KeyError,
-        RingError,  # ParseError, ValidationError, UnsupportedRing, InexactDivision, ...
-        IndexSetError,
-        WittError,  # ContextError, EnumerationBudget, DworkError
-        FiltrationError,
-        GenerationError,  # NotMaterialized
-        PrismaticError,
-        ConeError,
-        DeRhamError,
-    ) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except WittforgeError as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 
 

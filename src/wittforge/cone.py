@@ -17,41 +17,23 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iter_product
 
+from .numutil import WittforgeError
 from .rings import Ring, UnsupportedRing
 
 
-class ConeError(Exception):
+class ConeError(WittforgeError):
     pass
 
 
 class Module:
-    """Module interface for quasi-ideal sources; values are raw."""
+    """Module interface for quasi-ideal sources; values are raw.
+
+    Every module defines zero, add, neg, scalar, generators, d (the
+    structure map, given the images of the generators), solve (d^-1 of a
+    target, for a module too large to list) and el_to_str (the JSON form).
+    """
 
     ring: Ring
-
-    def zero(self):
-        raise NotImplementedError
-
-    def add(self, x, y):
-        raise NotImplementedError
-
-    def neg(self, x):
-        raise NotImplementedError
-
-    def scalar(self, r, x):
-        raise NotImplementedError
-
-    def generators(self):
-        raise NotImplementedError
-
-    def d(self, d_gens, x):  # the structure map, given the images of the generators
-        raise NotImplementedError
-
-    def solve(self, d_gens, target):  # d^-1(target), for a module too large to list
-        raise NotImplementedError
-
-    def el_to_str(self, x):  # the JSON form of x
-        raise NotImplementedError
 
     def elements(self):
         raise UnsupportedRing("module is not enumerable")

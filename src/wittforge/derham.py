@@ -31,9 +31,10 @@ from .filtration import (
     matrix_rank,
     rees_of_filtered,
 )
+from .numutil import WittforgeError
 
 
-class DeRhamError(Exception):
+class DeRhamError(WittforgeError):
     pass
 
 

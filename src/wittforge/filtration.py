@@ -16,11 +16,11 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import prod
 
-from .numutil import binomial
+from .numutil import WittforgeError, binomial
 from .sparsepoly import IntPoly
 
 
-class FiltrationError(Exception):
+class FiltrationError(WittforgeError):
     pass
 
 

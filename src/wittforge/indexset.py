@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .numutil import divisors, factorize, is_prime
+from .numutil import WittforgeError, divisors, factorize, is_prime
 
 
-class IndexSetError(ValueError):
+class IndexSetError(WittforgeError, ValueError):
     pass
 
 

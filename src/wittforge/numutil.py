@@ -5,6 +5,10 @@ from __future__ import annotations
 import math
 
 
+class WittforgeError(Exception):
+    """The root of every error the library raises on purpose."""
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division. Intended for small n."""
     if n <= 0:

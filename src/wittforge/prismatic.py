@@ -37,6 +37,7 @@ from itertools import product as iter_product
 
 from .cone import QuasiIdeal, cone_pi0
 from .indexset import IndexSet
+from .numutil import WittforgeError
 from .rings import PolyRing, Ring, INTEGERS
 from .sparsepoly import IntPoly
 from .structure import EnumerationBudget, LocalContext, is_distinguished
@@ -45,7 +46,7 @@ from .witt import WittRing, WittVector, witt_space, witt_space_size
 DEFAULT_POINT_CAP = 200_000
 
 
-class PrismaticError(Exception):
+class PrismaticError(WittforgeError):
     pass
 
 

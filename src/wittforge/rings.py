@@ -19,10 +19,10 @@ from functools import cached_property
 from math import gcd
 from operator import add as _add
 
-from .numutil import crt_pair, factorize, inverse_mod, is_prime
+from .numutil import WittforgeError, crt_pair, factorize, inverse_mod, is_prime
 
 
-class RingError(Exception):
+class RingError(WittforgeError):
     pass
 
 
@@ -56,10 +56,12 @@ _FRAC_RE = re.compile(r"^-?\d+(/\d+)?$")
 
 
 class Ring:
-    """Base class: a ring acts as a factory and arithmetic engine for raw values."""
+    """Base class: a ring acts as a factory and arithmetic engine for raw values.
 
-    def descriptor(self) -> str:
-        raise NotImplementedError
+    Every ring defines descriptor, zero, one, from_int, add, neg, mul,
+    el_to_str and el_from_str; a ring without one of the optional operations
+    below raises UnsupportedRing for it.
+    """
 
     def __repr__(self):
         return self.descriptor()
@@ -76,24 +78,6 @@ class Ring:
         return hash(self._key)
 
     # -- raw arithmetic ----------------------------------------------------
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def from_int(self, n: int):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
@@ -116,11 +100,11 @@ class Ring:
 
     def exact_div_int(self, a, n: int):
         """Divide by the integer n, raising InexactDivision unless exact."""
-        raise NotImplementedError
+        self._unsupported("integer division")
 
     def unit_inverse(self, a):
         """Return the inverse of a if a is a unit, else None."""
-        raise NotImplementedError
+        self._unsupported("unit inverse")
 
     def nilpotent_index(self, a):
         """Return least k >= 1 with a^k = 0, or None if a is not nilpotent.
@@ -151,14 +135,14 @@ class Ring:
         value of S to its canonical image here; it is a ring homomorphism.
         The Witt kernel computes over S, where the ghost map is injective.
         """
-        raise NotImplementedError
+        self._unsupported("lift")
 
     def quotient_by(self, values):
         """(R/I, reduce) for the ideal I the values generate, in the shape of
         lift(): reduce maps a raw value here to its image in R/I.  A finite
         ring answers with its table of cosets."""
         if self.size() is None:
-            raise UnsupportedRing(f"pi0 unsupported over {self.descriptor()}")
+            self._unsupported("pi0")
         quotient = CosetRing(self, values)
         return quotient, quotient.canonicalize
 
@@ -166,7 +150,7 @@ class Ring:
         """The unique x with a*x = c, or None; by default only a unit a divides."""
         inv = self.unit_inverse(a)
         if inv is None:
-            raise UnsupportedRing(f"linear solve unsupported over {self.descriptor()}")
+            self._unsupported("linear solve")
         return self.mul(inv, c)
 
     # -- sets of elements --------------------------------------------------
@@ -177,14 +161,7 @@ class Ring:
         raise UnsupportedRing(f"{self.descriptor()} is not enumerable")
 
     def random(self, rng):
-        raise NotImplementedError
-
-    # -- serialization -----------------------------------------------------
-    def el_to_str(self, a) -> str:
-        raise NotImplementedError
-
-    def el_from_str(self, s: str):
-        raise NotImplementedError
+        self._unsupported("random")
 
     # -- convenience -------------------------------------------------------
     def raw(self, value):
@@ -207,6 +184,9 @@ class Ring:
 
     def _reject(self, value):
         raise ValidationError(f"{value!r} is not a value of {self.descriptor()}")
+
+    def _unsupported(self, operation: str):
+        raise UnsupportedRing(f"{operation} unsupported over {self.descriptor()}")
 
     def __call__(self, value) -> "RingElement":
         return RingElement(self, self.raw(value))
@@ -970,6 +950,9 @@ class CosetRing(Ring):
     def one(self):
         return self._rep[self.base.one()]
 
+    def from_int(self, n):
+        return self._rep[self.base.from_int(n)]
+
     def add(self, a, b):
         return self._rep[self.base.add(a, b)]
 
@@ -984,6 +967,15 @@ class CosetRing(Ring):
 
     def elements(self):
         return iter(self._classes)
+
+    def random(self, rng):
+        return self._rep[self.base.random(rng)]
+
+    def el_to_str(self, a):
+        return self.base.el_to_str(a)
+
+    def el_from_str(self, s):
+        return self._rep[self.base.el_from_str(s)]
 
 
 def _zero_quotient():

@@ -19,7 +19,7 @@ from . import filtration as filt_mod
 from . import prismatic as pris_mod
 from . import structure as struct_mod
 from .indexset import IndexSet, index_set_make
-from .numutil import binomial, divisors
+from .numutil import WittforgeError, binomial, divisors
 from .rings import (
     INTEGERS,
     RATIONALS,
@@ -1033,7 +1033,7 @@ SUITES = {
 
 def suite_run(name: str, seed: int, budget: Budget | None = None) -> SuiteReport:
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}")
+        raise WittforgeError(f"unknown suite {name!r}; see verify --list")
     budget = budget or Budget()
     _, fn = SUITES[name]
     t0 = time.monotonic()

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 from .indexset import IndexSet
-from .numutil import divisors, factorize
+from .numutil import WittforgeError, divisors, factorize
 from .rings import INTEGERS, InexactDivision
 from .sparsepoly import IntPoly
 
@@ -46,7 +46,7 @@ SYMBOLIC_VERIFY_CAP = 4_000
 CACHE_FORMAT = 2
 
 
-class GenerationError(Exception):
+class GenerationError(WittforgeError):
     pass
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 
 from .indexset import IndexSet
-from .numutil import divisors, factorize, valuation
+from .numutil import WittforgeError, divisors, factorize, valuation
 from .rings import (
     INTEGERS,
     InexactDivision,
@@ -36,7 +36,7 @@ from .rings import (
 )
 
 
-class WittError(Exception):
+class WittError(WittforgeError):
     pass
 
 

@@ -113,7 +113,7 @@ def test_cone_infinite_hom_set_is_refused(capsys):
     # t*x = t^2 holds for every x in t + (t^2), an infinite set
     code, out, err = run_cli(QUOT_T3 + ["--hom", "0", "1*t^2"], capsys)
     assert code == 2 and out == ""
-    assert err.startswith("error: linear solve unsupported") and "Traceback" not in err
+    assert err.startswith("error: UnsupportedRing: linear solve unsupported") and "Traceback" not in err
 
 
 def test_rees(capsys):
@@ -162,6 +162,26 @@ def test_usage_errors(capsys):
     code, _, err = run_cli(["verify", "--suite", "nope"], capsys)
     assert code == 2 and "unknown suite" in err
 
+
+
+def test_unknown_suite_is_a_library_error():
+    from wittforge import WittforgeError
+    from wittforge.suites import suite_run
+
+    with pytest.raises(WittforgeError, match=r"^unknown suite 'nosuch'; see verify --list$"):
+        suite_run("nosuch", 1)
+
+
+def test_a_library_bug_is_not_a_usage_error(capsys, monkeypatch):
+    # only a WittforgeError is reported as an error line with exit code 2
+    import wittforge.cli as cli
+
+    def bug(a, b):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "witt_add", bug)
+    with pytest.raises(KeyError):
+        main(["witt", "add", "--ring", "integers", "--index-set", "div:2", "--a", "1,0", "--b", "1,0"])
 
 def test_verify_single_suite(capsys):
     code, out, _ = run_cli(["verify", "--suite", "v-nonfree", "--seed", "42"], capsys)
@@ -289,7 +309,7 @@ def test_generation_error_exit_code(capsys, monkeypatch):
         ["witt", "add", "--ring", "integers", "--index-set", "div:2", "--a", "1,0", "--b", "1,0"],
         capsys,
     )
-    assert code == 2 and out == "" and err == "error: not expanded\n"
+    assert code == 2 and out == "" and err == "error: NotMaterialized: not expanded\n"
 
 
 def test_prismatic_error_exit_code(capsys):
@@ -298,7 +318,7 @@ def test_prismatic_error_exit_code(capsys):
          "--gens", "x", "--relations", "1*x^2"],
         capsys,
     )
-    assert code == 2 and out == "" and err == "error: W{1}(3) is not distinguished\n"
+    assert code == 2 and out == "" and err == "error: PrismaticError: W{1}(3) is not distinguished\n"
 
 
 def test_cone_error_exit_code(capsys, monkeypatch):
@@ -310,12 +330,12 @@ def test_cone_error_exit_code(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "quasi_ideal_check", refuse)
     code, out, err = run_cli(["cone", "--base", "integers", "--d", "2"], capsys)
-    assert code == 2 and out == "" and err == "error: unknown module flavor\n"
+    assert code == 2 and out == "" and err == "error: ConeError: unknown module flavor\n"
 
 
 def test_derham_error_exit_code(capsys):
     code, out, err = run_cli(["derham", "--torus", "-1", "--affine", "0"], capsys)
-    assert code == 2 and out == "" and err == "error: ranks must be nonnegative\n"
+    assert code == 2 and out == "" and err == "error: DeRhamError: ranks must be nonnegative\n"
 
 
 def test_module_invocation_subprocess():

@@ -16,6 +16,7 @@ from wittforge.cone import (
 )
 from wittforge.indexset import IndexSet
 from wittforge.rings import INTEGERS, RATIONALS, ValidationError, make_ring
+from wittforge.sparsepoly import IntPoly
 from wittforge.witt import WittRing
 
 
@@ -135,6 +136,52 @@ def test_pi0_class_of_matches_coset_scan(q, outside, uncanonical):
         with pytest.raises(ValidationError):
             reduce(r)
 
+
+
+# ---------------------------------------------------------------------------
+# pi0 is a ring in its own right: its arithmetic against the base ring's,
+# followed by the reduction onto pi0
+
+
+def _pi0_cases():
+    W2 = WittRing(IndexSet.divisors_of(2), make_ring("zmod:4"))
+    return {
+        "W2(Z4)/(2,3)": QuasiIdeal.rank_one(W2, (2, 3)),
+        "Z12/(4)": QuasiIdeal.rank_one(make_ring("zmod:12"), 4),
+    }
+
+
+def _random_poly(rng, nvars):
+    terms = {tuple(rng.randint(0, 4) for _ in range(nvars)): rng.randint(-20, 20) for _ in range(6)}
+    return IntPoly(nvars, terms)
+
+
+@pytest.mark.parametrize("name", list(_pi0_cases()))
+def test_pi0_evaluation_is_base_evaluation_reduced(name):
+    q = _pi0_cases()[name]
+    pi0 = cone_pi0(q)
+    reduce = q.ring.quotient_by(q.d_gens)[1]
+    elements = list(q.ring.elements())
+    rng = random.Random(16)
+    for _ in range(30):
+        f = _random_poly(rng, nvars := rng.randint(1, 3))
+        values = [rng.choice(elements) for _ in range(nvars)]
+        assert f.evaluate(pi0, [reduce(v) for v in values]) == reduce(f.evaluate(q.ring, values))
+
+
+@pytest.mark.parametrize("name", list(_pi0_cases()))
+def test_pi0_parses_prints_and_draws_its_own_values(name):
+    pi0 = cone_pi0(_pi0_cases()[name])
+    classes = list(pi0.elements())
+    assert all(pi0.el_from_str(pi0.el_to_str(a)) == a for a in classes)
+    rng = random.Random(16)
+    assert all(pi0.random(rng) in classes for _ in range(50))
+    assert pi0(3).value == pi0.from_int(3) == pi0.add(pi0.one(), pi0.from_int(2))
+    # one nested quotient built twice is one ring; another one is not
+    halves = [pi0.quotient_by([pi0.from_int(2)])[0] for _ in range(2)]
+    assert halves[0] is not halves[1] and halves[0] == halves[1]
+    assert hash(halves[0]) == hash(halves[1]) and repr(halves[0]) == repr(halves[1])
+    assert halves[0] != pi0.quotient_by([pi0.from_int(3)])[0]
 
 def test_ideal_module_over_finite_ring():
     z12 = make_ring("zmod:12")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -9,6 +10,8 @@ from wittforge.rings import (
     RATIONALS,
     InexactDivision,
     ParseError,
+    Ring,
+    RingError,
     RingMismatch,
     UnsupportedRing,
     ValidationError,
@@ -507,3 +510,98 @@ def test_lift_reduce_matches_canonicalize(desc):
         assert reduce(S.mul(a, b)) == R.mul(reduce(a), reduce(b))
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# the Ring contract: every method of every ring class answers or raises a
+# RingError, never a bare exception
+
+# what every ring defines; Ring itself defines the rest of the contract
+REQUIRED = ("descriptor", "zero", "one", "from_int", "add", "neg", "mul", "el_to_str", "el_from_str")
+
+
+def _contract() -> list:
+    public = {n for n, v in vars(Ring).items() if not n.startswith("_") and callable(v)}
+    return sorted(public | set(REQUIRED))
+
+
+def _contract_rings():
+    z12 = make_ring("zmod:12")
+    pi0 = z12.quotient_by([4])[0]
+    return {
+        # every form of the descriptor grammar
+        "Z": INTEGERS,
+        "Q": RATIONALS,
+        "Z/12": z12,
+        "(Z/4)[x, y^+-1]": make_ring("poly(zmod:4; x,y; inv y)"),
+        "(Z/4)[t]/(t^2+1)": make_ring("quot(poly(zmod:4; t); 1*t^2+1)"),
+        "Q[t]/(t^3)": make_ring("quot(poly(rationals; t); 1*t^3)"),
+        # Witt vectors over a finite ring and over Z
+        "W2(Z/4)": WittRing(index_set_make("div:2"), make_ring("zmod:4")),
+        "W2(Z)": WittRing(index_set_make("div:2"), INTEGERS),
+        # a coset table, and the coset table of a coset table
+        "Z/12/(4)": pi0,
+        "Z/12/(4)/(2)": pi0.quotient_by([2])[0],
+    }
+
+
+def _contract_calls(R):
+    a, b = R.from_int(2), R.from_int(3)
+    return {
+        "descriptor": lambda: R.descriptor(),
+        "zero": lambda: R.zero(),
+        "one": lambda: R.one(),
+        "from_int": lambda: R.from_int(-5),
+        "add": lambda: R.add(a, b),
+        "neg": lambda: R.neg(a),
+        "mul": lambda: R.mul(a, b),
+        "sub": lambda: R.sub(a, b),
+        "pow": lambda: R.pow(a, 3),
+        "canonicalize": lambda: R.canonicalize(a),
+        "exact_div_int": lambda: R.exact_div_int(a, 3),
+        "unit_inverse": lambda: R.unit_inverse(b),
+        "int_unit_inverse": lambda: R.int_unit_inverse(5),
+        "nilpotent_index": lambda: R.nilpotent_index(a),
+        "lift": lambda: R.lift(),
+        "quotient_by": lambda: R.quotient_by([a]),
+        "divide": lambda: R.divide(a, b),
+        "size": lambda: R.size(),
+        "elements": lambda: list(islice(R.elements(), 8)),
+        "random": lambda: R.random(random.Random(0)),
+        "el_to_str": lambda: R.el_to_str(a),
+        "el_from_str": lambda: R.el_from_str(R.el_to_str(b)),
+        "raw": lambda: R.raw(7),
+        "elem": lambda: R.elem(a),
+    }
+
+
+def _refusals(R) -> set:
+    """The contract methods R answers with a RingError; any other error fails."""
+    calls = _contract_calls(R)
+    assert sorted(calls) == _contract()
+    refused = set()
+    for name, call in calls.items():
+        try:
+            call()
+        except RingError:
+            refused.add(name)
+    return refused
+
+
+@pytest.mark.parametrize("name", list(_contract_rings()))
+def test_every_ring_method_answers_or_raises_a_ring_error(name):
+    R = _contract_rings()[name]
+    assert not _refusals(R) & set(REQUIRED)
+    assert R.el_from_str(R.el_to_str(R.from_int(3))) == R.from_int(3)
+    assert R.raw(R.el_to_str(R.one())) == R.one()
+
+
+@pytest.mark.parametrize("name", ["Z/12/(4)", "Z/12/(4)/(2)"])
+def test_coset_ring_refuses_only_what_it_cannot_compute(name):
+    R = _contract_rings()[name]
+    refused = {"exact_div_int", "unit_inverse", "int_unit_inverse", "divide", "lift"}
+    assert _refusals(R) == refused
+    for call in (lambda: R.unit_inverse(R.one()), R.lift):
+        with pytest.raises(UnsupportedRing) as refusal:
+            call()
+        assert str(refusal.value).endswith(f"unsupported over {R.descriptor()}")
