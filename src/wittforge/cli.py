@@ -26,13 +26,12 @@ from .filtration import (
 from .indexset import IndexSet, index_set_make
 from .numutil import WittforgeError
 from .prismatic import (
-    DEFAULT_POINT_CAP,
     AffinePresentation,
     PrismaticContext,
     prismatic_points_affine,
     witt_points,
 )
-from .rings import UnsupportedRing, make_ring
+from .rings import ENUM_CAP, UnsupportedRing, make_ring
 from .structure import LocalContext, is_distinguished, is_hodge_tate, local_decompose
 from .suites import SUITES, Budget, coverage_map, suite_run
 from .witt import frobenius, ghost, make_witt, teichmuller, verschiebung, witt_add, witt_mul, witt_neg, witt_sub
@@ -60,6 +59,17 @@ def _emit(obj, args) -> str:
     else:
         sys.stdout.write(text)
     return text
+
+
+def _budget(text):
+    """A --budget-* value: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"a budget is a non-negative integer, not {text!r}")
+    return value
 
 
 def _common(sub):
@@ -96,13 +106,11 @@ def _local_context(args, ring, E):
 def cmd_witt(args):
     ring, E = _ring_and_set(args)
     a = _vector(args, "a", ring, E)
-    if args.op in ("add", "mul", "sub"):
-        b = _vector(args, "b", ring, E)
-        out = {"add": witt_add, "mul": witt_mul, "sub": witt_sub}[args.op](a, b)
-    elif args.op == "neg":
+    if args.op == "neg":
         out = witt_neg(a)
     else:
-        raise UsageError(f"unknown witt op {args.op!r}")
+        b = _vector(args, "b", ring, E)
+        out = {"add": witt_add, "mul": witt_mul, "sub": witt_sub}[args.op](a, b)
     _emit({"coords": _coords_json(out)}, args)
     return 0
 
@@ -383,7 +391,7 @@ def build_parser():
     sp.add_argument("--gens", required=True, help="generator names, comma separated")
     sp.add_argument("--relations", default="", help="relations, semicolon separated")
     sp.add_argument("--witt-points", action="store_true", help="points in W instead")
-    sp.add_argument("--budget-enum", type=int, default=DEFAULT_POINT_CAP)
+    sp.add_argument("--budget-enum", type=_budget, default=ENUM_CAP)
     _common(sp)
     sp.set_defaults(fn=cmd_prismatic)
 
@@ -391,8 +399,8 @@ def build_parser():
     sp.add_argument("--suite", default="all")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--list", action="store_true", help="print the coverage map")
-    sp.add_argument("--budget-enum", type=int, default=Budget.enum_cap)
-    sp.add_argument("--budget-terms", type=int, default=Budget.term_cap)
+    sp.add_argument("--budget-enum", type=_budget, default=Budget.enum_cap)
+    sp.add_argument("--budget-terms", type=_budget, default=Budget.term_cap)
     sp.add_argument("--timings", action="store_true", help="include wall times")
     _common(sp)
     sp.set_defaults(fn=cmd_verify)

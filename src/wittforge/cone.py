@@ -252,13 +252,13 @@ def cone_pi0(q: QuasiIdeal) -> Ring:
     return q.ring.quotient_by([q.d(g) for g in q.module.generators()])[0]
 
 
-def cone_hom_set(q: QuasiIdeal, r1, r2, cap: int = 10**6):
+def cone_hom_set(q: QuasiIdeal, r1, r2):
     """Hom(r1, r2) = {x in I : d(x) = r2 - r1}."""
     ring = q.ring
     target = ring.sub(ring.raw(r2), ring.raw(r1))
     size = q.module.size()
     if size is not None:
-        if size > cap:
+        if size > 10**6:
             raise UnsupportedRing("module too large to enumerate")
         return [x for x in q.module.elements() if q.d(x) == target]
     return q.module.solve(q.d_gens, target)

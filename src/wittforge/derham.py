@@ -38,6 +38,11 @@ class DeRhamError(WittforgeError):
     pass
 
 
+# the most basis forms a character box may hold: 10,000 take a few seconds,
+# and each more generator multiplies the count by 3 or more
+MAX_FORMS = 10_000
+
+
 @dataclass(frozen=True)
 class MonomialAlgebra:
     torus_rank: int
@@ -137,7 +142,19 @@ def _slice_for(A: MonomialAlgebra, character) -> ComplexSlice:
 
 
 def build_complex(A: MonomialAlgebra, torus_bound: int = 1, affine_bound: int = 1):
-    """All character slices in the box |torus| <= torus_bound, 0 <= affine <= affine_bound."""
+    """All character slices in the box |torus| <= torus_bound, 0 <= affine <= affine_bound.
+
+    A torus coordinate has 2 * torus_bound + 1 characters of two forms each
+    (1 and dlog x); an affine one has character 0 with the form 1 and
+    affine_bound others with two (1 and dy).  A box holding more than
+    MAX_FORMS forms in all is refused before any slice is built.
+    """
+    # a factor is 1 or at least 2, so capping each rank at MAX_FORMS keeps
+    # the verdict and spares a power with a huge exponent
+    forms = (2 * (2 * torus_bound + 1)) ** min(A.torus_rank, MAX_FORMS)
+    forms *= (1 + 2 * affine_bound) ** min(A.affine_rank, MAX_FORMS)
+    if forms > MAX_FORMS:
+        raise DeRhamError(f"the character box of {A} holds more than {MAX_FORMS} basis forms")
     torus_range = range(-torus_bound, torus_bound + 1)
     affine_range = range(affine_bound + 1)
     slices = []

@@ -48,33 +48,19 @@ def valuation(n: int, p: int) -> int:
     return v
 
 
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 def inverse_mod(a: int, n: int) -> int | None:
-    g, x, _ = ext_gcd(a % n, n)
-    if g != 1:
+    try:
+        return pow(a, -1, n)
+    except ValueError:
         return None
-    return x % n
 
 
 def crt_pair(a1: int, n1: int, a2: int, n2: int) -> int:
     """Solve x = a1 mod n1, x = a2 mod n2 for coprime moduli."""
-    g, m1, _ = ext_gcd(n1, n2)
-    if g != 1:
-        raise ValueError("crt_pair needs coprime moduli")
+    try:
+        m1 = pow(n1, -1, n2)
+    except ValueError:
+        raise ValueError("crt_pair needs coprime moduli") from None
     return (a1 + (a2 - a1) * m1 % n2 * n1) % (n1 * n2)
 
 

@@ -38,12 +38,10 @@ from itertools import product as iter_product
 from .cone import QuasiIdeal, cone_pi0
 from .indexset import IndexSet
 from .numutil import WittforgeError
-from .rings import PolyRing, Ring, INTEGERS
+from .rings import ENUM_CAP, INTEGERS, PolyRing, Ring
 from .sparsepoly import IntPoly
 from .structure import EnumerationBudget, LocalContext, is_distinguished
 from .witt import WittRing, WittVector, witt_space, witt_space_size
-
-DEFAULT_POINT_CAP = 200_000
 
 
 class PrismaticError(WittforgeError):
@@ -151,7 +149,7 @@ def wbar_ring(ctx: PrismaticContext) -> WbarModel:
 # J(X) points: homomorphisms into the Witt vectors themselves
 
 
-def witt_points(B: AffinePresentation, E: IndexSet, ring: Ring, cap: int = DEFAULT_POINT_CAP):
+def witt_points(B: AffinePresentation, E: IndexSet, ring: Ring, cap: int = ENUM_CAP):
     """All ring maps B -> W_E(R), by enumeration and relation filtering."""
     g = len(B.generators)
     total = witt_space_size(E, ring)
@@ -266,7 +264,7 @@ def _difference_polys(B: AffinePresentation):
 
 
 def prismatic_points_affine(
-    B: AffinePresentation, ctx: PrismaticContext, cap: int = DEFAULT_POINT_CAP
+    B: AffinePresentation, ctx: PrismaticContext, cap: int = ENUM_CAP
 ) -> PointGroupoid:
     wring = ctx.witt_ring
     size = wring.size()

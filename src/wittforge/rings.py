@@ -46,6 +46,11 @@ class UnsupportedRing(RingError):
     pass
 
 
+# the most elements a search lists one by one: the cosets of a finite ring's
+# quotient, and by default the prismatic point and verify searches
+ENUM_CAP = 200_000
+
+
 def _same(a):
     return a
 
@@ -140,9 +145,14 @@ class Ring:
     def quotient_by(self, values):
         """(R/I, reduce) for the ideal I the values generate, in the shape of
         lift(): reduce maps a raw value here to its image in R/I.  A finite
-        ring answers with its table of cosets."""
-        if self.size() is None:
+        ring of at most ENUM_CAP elements answers with its table of cosets."""
+        size = self.size()
+        if size is None:
             self._unsupported("pi0")
+        if size > ENUM_CAP:
+            raise UnsupportedRing(
+                f"pi0 lists the {size} elements of {self.descriptor()}, more than {ENUM_CAP}"
+            )
         quotient = CosetRing(self, values)
         return quotient, quotient.canonicalize
 

@@ -133,7 +133,7 @@ def is_in_wf(a: WittVector) -> bool:
     return True
 
 
-def wf_annihilator_check(a: WittVector, direction: str, cap: int = DEFAULT_ENUM_CAP) -> bool:
+def wf_annihilator_check(a: WittVector, direction: str) -> bool:
     """kills_VW: a * V_p(b) = 0 for all primes p and all b.
     killed_by_WF: a * w = 0 for all w in W[F](R).  Both by enumeration.
     """
@@ -143,14 +143,14 @@ def wf_annihilator_check(a: WittVector, direction: str, cap: int = DEFAULT_ENUM_
     if direction == "kills_VW":
         for p in E.primes():
             source = E.restrict(p)
-            if witt_space_size(source, ring) > cap:
+            if witt_space_size(source, ring) > DEFAULT_ENUM_CAP:
                 raise EnumerationBudget("Verschiebung source too large")
             for b in witt_space(source, ring):
                 if not witt_mul(a, verschiebung(p, b, E)).is_zero():
                     return False
         return True
     if direction == "killed_by_WF":
-        if witt_space_size(E, ring) > cap:
+        if witt_space_size(E, ring) > DEFAULT_ENUM_CAP:
             raise EnumerationBudget("space too large")
         for w in witt_space(E, ring):
             if is_in_wf(w) and not witt_mul(a, w).is_zero():
@@ -302,7 +302,7 @@ def is_distinguished(xi: WittVector, ctx: LocalContext):
 # the non-freeness obstruction
 
 
-def v_nonfree_obstruction(E: IndexSet, bound: int = 10**6) -> dict:
+def v_nonfree_obstruction(E: IndexSet) -> dict:
     """Search for an integral ghost profile a global module generator would have.
 
     Profile: g_1 = 0, g_{p^r} = +-p at prime powers, g_n = +-1 at n with at
@@ -318,7 +318,7 @@ def v_nonfree_obstruction(E: IndexSet, bound: int = 10**6) -> dict:
             continue
         fac = factorize(n)
         slots.append((n, list(fac)[0] if len(fac) == 1 else None))
-    if 2 ** len(slots) > bound:
+    if 2 ** len(slots) > DEFAULT_ENUM_CAP:
         raise EnumerationBudget(f"{2 ** len(slots)} sign patterns exceed the bound")
     from itertools import product as iproduct
 

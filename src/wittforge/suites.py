@@ -1,15 +1,17 @@
 """Named verification suites behind `verify`.
 
-Each suite runs one module's invariant list with a seeded generator and a
-budget, and reports the cases run and any counterexamples found.  Everything
-here is deterministic given (seed, budget).
+Each suite runs one module's invariant list and records the cases run and
+any counterexamples found.  A suite is named once, by its key in SUITES:
+suite_run builds the report under that name and hands the suite the report,
+a generator seeded from (seed, name) and the budget.  Everything here is
+deterministic given (seed, budget).
 """
 
 from __future__ import annotations
 
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from random import Random
 
@@ -21,6 +23,7 @@ from . import structure as struct_mod
 from .indexset import IndexSet, index_set_make
 from .numutil import WittforgeError, binomial, divisors
 from .rings import (
+    ENUM_CAP,
     INTEGERS,
     RATIONALS,
     InexactDivision,
@@ -54,8 +57,14 @@ from .witt import (
 
 @dataclass
 class Budget:
-    enum_cap: int = 200_000
+    enum_cap: int = ENUM_CAP
     term_cap: int = DEFAULT_TERM_CAP
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise WittforgeError(f"budget {f.name} must be a non-negative int, not {value!r}")
 
 
 @dataclass
@@ -91,9 +100,7 @@ def _rng(seed, name):
 # ring_core
 
 
-def suite_ring_axioms(seed, budget):
-    rep = SuiteReport("ring-axioms")
-    rng = _rng(seed, rep.name)
+def suite_ring_axioms(rep, rng, budget):
     rings = [
         INTEGERS,
         RATIONALS,
@@ -140,7 +147,6 @@ def suite_ring_axioms(seed, budget):
                 if (a**k).value != ring.zero() or (k > 1 and (a ** (k - 1)).value == ring.zero()):
                     rep.fail("nilpotent-witness", f"{ring.descriptor()}: {a}^{k}")
             rep.cases += 1
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -151,16 +157,14 @@ _AXIOM_RINGS = ("integers", "zmod:12", "zmod:4", "rationals")
 _AXIOM_SETS = ("div:6", "ptyp:2:3")
 
 
-def suite_witt_ring_axioms(seed, budget, triples=200):
-    rep = SuiteReport("witt-ring-axioms")
-    rng = _rng(seed, rep.name)
+def suite_witt_ring_axioms(rep, rng, budget):
     for rdesc in _AXIOM_RINGS:
         ring = make_ring(rdesc)
         for edesc in _AXIOM_SETS:
             E = index_set_make(edesc)
             one = witt_one(E, ring)
             zero = witt_zero(E, ring)
-            for _ in range(triples):
+            for _ in range(200):
                 a, b, c = (random_witt(E, ring, rng) for _ in range(3))
                 checks = [
                     (a + b) + c == a + (b + c),
@@ -180,15 +184,12 @@ def suite_witt_ring_axioms(seed, budget, triples=200):
                 if not all(checks):
                     rep.fail("witt-axioms", f"{rdesc} {edesc}: {a} {b} {c}")
                 rep.cases += 1
-    return rep
 
 
-def suite_witt_operators(seed, budget, cases=100):
-    rep = SuiteReport("witt-operators")
-    rng = _rng(seed, rep.name)
+def suite_witt_operators(rep, rng, budget):
     ring = make_ring("zmod:12")
     E = IndexSet.divisors_of(6)
-    for _ in range(cases):
+    for _ in range(100):
         a, b = random_witt(E, ring, rng), random_witt(E, ring, rng)
         for n in (2, 3, 6):
             if frobenius(n, a + b) != frobenius(n, a) + frobenius(n, b):
@@ -204,7 +205,7 @@ def suite_witt_operators(seed, budget, cases=100):
         ring2 = make_ring(rdesc)
         E2 = index_set_make(edesc)
         source = E2.restrict(p)
-        for _ in range(cases):
+        for _ in range(100):
             x = random_witt(source, ring2, rng)
             y = random_witt(E2, ring2, rng)
             vx = verschiebung(p, x, E2)
@@ -216,7 +217,7 @@ def suite_witt_operators(seed, budget, cases=100):
             if verschiebung(p, x, E2) + verschiebung(p, x2, E2) != verschiebung(p, x + x2, E2):
                 rep.fail("V-additive", f"p={p}")
             rep.cases += 1
-    for _ in range(cases):
+    for _ in range(100):
         r, s = ring.random(rng), ring.random(rng)
         if teichmuller(r, E, ring) * teichmuller(s, E, ring) != teichmuller(
             ring.mul(r, s), E, ring
@@ -224,7 +225,7 @@ def suite_witt_operators(seed, budget, cases=100):
             rep.fail("teichmuller-multiplicative", f"{r} {s}")
         rep.cases += 1
     # ghost rules for F and V
-    for _ in range(cases // 2):
+    for _ in range(50):
         a = random_witt(E, RATIONALS, rng)
         g = ghost_raw(a)
         for n in (2, 3, 6):
@@ -240,11 +241,9 @@ def suite_witt_operators(seed, budget, cases=100):
             if gv[m] != expect:
                 rep.fail("ghost-verschiebung", f"m={m}")
         rep.cases += 1
-    return rep
 
 
-def suite_witt_integrality(seed, budget):
-    rep = SuiteReport("witt-universal-integrality")
+def suite_witt_integrality(rep, rng, budget):
     specs = [
         IndexSet.divisors_of(30),
         IndexSet.p_typical(2, 4),
@@ -255,7 +254,7 @@ def suite_witt_integrality(seed, budget):
         details = integrality_report(specs, term_cap=budget.term_cap)
     except InexactDivision as e:
         rep.fail("inexact-division", e)
-        return rep
+        return
     rep.cases += sum(len(d["materialized"]) + len(d["certified"]) for d in details)
     # frozen small forms
     E2 = IndexSet.divisors_of(2)
@@ -293,20 +292,17 @@ def suite_witt_integrality(seed, budget):
                 if lhs != _ghost_target(E, op, n):
                     rep.fail("ghost-compatibility", f"E={E} {op} n={n}")
                 rep.cases += 1
-    return rep
 
 
-def suite_witt_ghost_dwork(seed, budget, cases=200):
-    rep = SuiteReport("witt-ghost-dwork")
-    rng = _rng(seed, rep.name)
+def suite_witt_ghost_dwork(rep, rng, budget):
     E = IndexSet.divisors_of(6)
-    for _ in range(cases):
+    for _ in range(200):
         a = random_witt(E, RATIONALS, rng)
         g = ghost_raw(a)
         if unghost(g, E, RATIONALS) != a:
             rep.fail("unghost-ghost", str(a))
         rep.cases += 1
-    for _ in range(cases):
+    for _ in range(200):
         a = random_witt(E, INTEGERS, rng)
         g = ghost_raw(a)
         if not dwork_check(g, E):
@@ -318,12 +314,9 @@ def suite_witt_ghost_dwork(seed, budget, cases=200):
     if dwork_check({1: 0, 2: 1}, E2):
         rep.fail("dwork-negative", "(0,1)")
     rep.cases += 1
-    return rep
 
 
-def suite_witt_functoriality(seed, budget, cases=100):
-    rep = SuiteReport("witt-functoriality")
-    rng = _rng(seed, rep.name)
+def suite_witt_functoriality(rep, rng, budget):
     z12, z4 = make_ring("zmod:12"), make_ring("zmod:4")
     maps = [
         (INTEGERS, z12, lambda v: v % 12),
@@ -332,7 +325,7 @@ def suite_witt_functoriality(seed, budget, cases=100):
     ]
     E = IndexSet.divisors_of(6)
     for src, tgt, f in maps:
-        for _ in range(cases // 2):
+        for _ in range(50):
             a, b = random_witt(E, src, rng), random_witt(E, src, rng)
             fa, fb = map_coords(a, f, tgt), map_coords(b, f, tgt)
             if map_coords(a + b, f, tgt) != fa + fb or map_coords(a * b, f, tgt) != fa * fb:
@@ -347,7 +340,7 @@ def suite_witt_functoriality(seed, budget, cases=100):
             rep.cases += 1
     # restriction maps are ring maps
     E_sub = IndexSet.divisors_of(2)
-    for _ in range(cases):
+    for _ in range(100):
         a, b = random_witt(E, z12, rng), random_witt(E, z12, rng)
         if restrict(a + b, E_sub) != restrict(a, E_sub) + restrict(b, E_sub):
             rep.fail("restriction-add", str(a))
@@ -373,15 +366,13 @@ def suite_witt_functoriality(seed, budget, cases=100):
         if compose(a * b) != compose(a) * compose(b):
             rep.fail("composite-multiplicative", str(a))
         rep.cases += 1
-    return rep
 
 
 # ---------------------------------------------------------------------------
 # witt_struct
 
 
-def suite_wf_annihilator(seed, budget):
-    rep = SuiteReport("wf-annihilator")
+def suite_wf_annihilator(rep, rng, budget):
     E = IndexSet.divisors_of(2)
     for rdesc in ("zmod:2", "zmod:4"):
         ring = make_ring(rdesc)
@@ -401,12 +392,9 @@ def suite_wf_annihilator(seed, budget):
     if struct_mod.wf_annihilator_check(witt_one(E, make_ring("zmod:4")), "kills_VW"):
         rep.fail("one-kills", "teich(1)")
     rep.cases += 2
-    return rep
 
 
-def suite_local_decomposition(seed, budget, cases=200):
-    rep = SuiteReport("local-decomposition")
-    rng = _rng(seed, rep.name)
+def suite_local_decomposition(rep, rng, budget):
     E = IndexSet.divisors_of(6)
     z9 = make_ring("zmod:9")
     plans = [
@@ -414,7 +402,7 @@ def suite_local_decomposition(seed, budget, cases=200):
         (struct_mod.LocalContext.rational(RATIONALS, E), RATIONALS),
     ]
     for ctx, ring in plans:
-        for _ in range(cases):
+        for _ in range(200):
             a = random_witt(E, ring, rng)
             b = random_witt(E, ring, rng)
             da = struct_mod.local_decompose(a, ctx)
@@ -436,7 +424,7 @@ def suite_local_decomposition(seed, budget, cases=200):
     # reverse round trip: decompose(recompose(d)) = d on random decomposed data
     ctx, ring = plans[0]
     Ep = ctx.e_typical()
-    for _ in range(cases // 2):
+    for _ in range(100):
         d = struct_mod.DecomposedWitt(
             3, E, {n: random_witt(Ep, ring, rng) for n in ctx.e_prime_to()}
         )
@@ -447,7 +435,7 @@ def suite_local_decomposition(seed, budget, cases=200):
     z3 = make_ring("zmod:3")
     ctx9 = plans[0][0]
     ctx3 = struct_mod.LocalContext.p_local(3, z3, E)
-    for _ in range(cases // 4):
+    for _ in range(50):
         a = random_witt(E, z9, rng)
         d9 = struct_mod.local_decompose(a, ctx9)
         a3 = map_coords(a, lambda v: v % 3, z3)
@@ -456,7 +444,6 @@ def suite_local_decomposition(seed, budget, cases=200):
             if map_coords(d9.factor(n), lambda v: v % 3, z3) != d3.factor(n):
                 rep.fail("naturality", str(a))
         rep.cases += 1
-    return rep
 
 
 def _brute_force_inverse(a, space):
@@ -467,9 +454,7 @@ def _brute_force_inverse(a, space):
     return None
 
 
-def suite_hodge_tate(seed, budget):
-    rep = SuiteReport("hodge-tate-equivalences")
-    rng = _rng(seed, rep.name)
+def suite_hodge_tate(rep, rng, budget):
     plans = [
         ("zmod:4", 2, IndexSet.divisors_of(2), None),
         ("zmod:4", 2, IndexSet.p_typical(2, 2), None),
@@ -554,12 +539,9 @@ def suite_hodge_tate(seed, budget):
             if struct_mod.is_distinguished(uv, ctx)[0] != dist:
                 rep.fail("distinguished-unit-scaling", f"{u} * {v}")
             rep.cases += 1
-    return rep
 
 
-def suite_v_one(seed, budget):
-    rep = SuiteReport("v-one")
-    rng = _rng(seed, rep.name)
+def suite_v_one(rep, rng, budget):
     E = IndexSet.divisors_of(6)
     z9 = make_ring("zmod:9")
     ctx = struct_mod.LocalContext.p_local(3, z9, E)
@@ -611,11 +593,9 @@ def suite_v_one(seed, budget):
         if witt_mul(u, im3) != im2:
             rep.fail("overlap-transition", f"{im2} {im3}")
     rep.cases += 1
-    return rep
 
 
-def suite_v_nonfree(seed, budget):
-    rep = SuiteReport("v-nonfree")
+def suite_v_nonfree(rep, rng, budget):
     t0 = time.monotonic()
     out = struct_mod.v_nonfree_obstruction(IndexSet.divisors_of(10))
     elapsed = time.monotonic() - t0
@@ -634,11 +614,9 @@ def suite_v_nonfree(seed, budget):
     except struct_mod.ContextError:
         pass
     rep.cases += 1
-    return rep
 
 
-def suite_witt_unit(seed, budget):
-    rep = SuiteReport("witt-unit")
+def suite_witt_unit(rep, rng, budget):
     E = IndexSet.divisors_of(2)
     ring = make_ring("zmod:4")
     space = list(witt_space(E, ring))
@@ -658,16 +636,13 @@ def suite_witt_unit(seed, budget):
     if ok2:
         rep.fail("example-(2,1)", "should not be a unit")
     rep.cases += 2
-    return rep
 
 
 # ---------------------------------------------------------------------------
 # cone
 
 
-def suite_cone(seed, budget):
-    rep = SuiteReport("cone-laws")
-    rng = _rng(seed, rep.name)
+def suite_cone(rep, rng, budget):
     z4 = make_ring("zmod:4")
     positives = [
         cone_mod.QuasiIdeal.rank_one(INTEGERS, 2),
@@ -748,7 +723,6 @@ def suite_cone(seed, budget):
     if cone_mod.cone_level_mul(q, (1, (3,)), (2, (5,))) != (2, (41,)):
         rep.fail("worked-example", "level-2 product")
     rep.cases += 1
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -768,9 +742,7 @@ def _random_step_filtration(rng, ambient=3, steps=3, start=None):
     return filt_mod.step_filtration(spaces, start)
 
 
-def suite_rees(seed, budget):
-    rep = SuiteReport("rees-dictionary")
-    rng = _rng(seed, rep.name)
+def suite_rees(rep, rng, budget):
     unit = filt_mod.unit_filtration()
     # footnote normalization
     q1 = filt_mod.filtered_line(1)
@@ -844,11 +816,9 @@ def suite_rees(seed, budget):
     except filt_mod.TorsionError:
         pass
     rep.cases += 1
-    return rep
 
 
-def suite_iadic(seed, budget):
-    rep = SuiteReport("iadic-gr")
+def suite_iadic(rep, rng, budget):
     for g, names in ((1, ["x"]), (2, ["x", "z"])):
         pieces = filt_mod.iadic_gr(names, "diagonal", 4)
         for p in pieces:
@@ -863,15 +833,13 @@ def suite_iadic(seed, budget):
     if zero[0].rank != 1 or any(p.rank for p in zero[1:]):
         rep.fail("zero-ideal", str(zero))
     rep.cases += 1
-    return rep
 
 
 # ---------------------------------------------------------------------------
 # derham
 
 
-def suite_derham(seed, budget):
-    rep = SuiteReport("derham-cohomology")
+def suite_derham(rep, rng, budget):
     gm = derham_mod.hodge_cohomology(derham_mod.MonomialAlgebra(1, 0))
     if (gm.h[0], gm.h[1]) != (1, 1) or gm.fil[(1, 1)] != 1 or gm.fil[(2, 1)] != 0:
         rep.fail("gm", str(gm.h))
@@ -924,15 +892,13 @@ def suite_derham(seed, budget):
     if derham_mod.rees_package_degree(a1, 1).piece(-1).dim() != 0:
         rep.fail("rees-a1", "should be zero")
     rep.cases += 3
-    return rep
 
 
 # ---------------------------------------------------------------------------
 # prismatic_points
 
 
-def suite_prismatic(seed, budget):
-    rep = SuiteReport("prismatic-points")
+def suite_prismatic(rep, rng, budget):
     z4 = make_ring("zmod:4")
     E2 = IndexSet.divisors_of(2)
     ctx2 = pris_mod.PrismaticContext(
@@ -1003,7 +969,6 @@ def suite_prismatic(seed, budget):
     if len(free_pts) != 4:
         rep.fail("witt-points-free", len(free_pts))
     rep.cases += 2
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -1034,10 +999,10 @@ SUITES = {
 def suite_run(name: str, seed: int, budget: Budget | None = None) -> SuiteReport:
     if name not in SUITES:
         raise WittforgeError(f"unknown suite {name!r}; see verify --list")
-    budget = budget or Budget()
     _, fn = SUITES[name]
+    rep = SuiteReport(name)
     t0 = time.monotonic()
-    rep = fn(seed, budget)
+    fn(rep, _rng(seed, name), budget or Budget())
     rep.seconds = time.monotonic() - t0
     return rep
 

@@ -350,11 +350,11 @@ def clear_memory_cache():
     _MEM.clear()
 
 
-def integrality_report(specs, ops=("sum", "product", "negation"), term_cap=DEFAULT_TERM_CAP):
+def integrality_report(specs, term_cap=DEFAULT_TERM_CAP):
     """Regenerate families from scratch and report materialized/certified levels."""
     report = []
     for E in specs:
-        for op in ops:
+        for op in ("sum", "product", "negation"):
             entry = generate_universal_polynomials(E, op, term_cap)
             report.append(
                 {

@@ -172,6 +172,18 @@ def test_unknown_suite_is_a_library_error():
         suite_run("nosuch", 1)
 
 
+@pytest.mark.parametrize(
+    "fields", [{"enum_cap": -1}, {"term_cap": -1}, {"enum_cap": "10"}, {"term_cap": 1.5}, {"enum_cap": True}]
+)
+def test_a_budget_is_non_negative_ints(fields):
+    from wittforge import WittforgeError
+    from wittforge.suites import Budget
+
+    with pytest.raises(WittforgeError, match="non-negative int"):
+        Budget(**fields)
+    assert Budget(enum_cap=0, term_cap=0) == Budget(0, 0)
+
+
 def test_a_library_bug_is_not_a_usage_error(capsys, monkeypatch):
     # only a WittforgeError is reported as an error line with exit code 2
     import wittforge.cli as cli
@@ -336,6 +348,36 @@ def test_cone_error_exit_code(capsys, monkeypatch):
 def test_derham_error_exit_code(capsys):
     code, out, err = run_cli(["derham", "--torus", "-1", "--affine", "0"], capsys)
     assert code == 2 and out == "" and err == "error: DeRhamError: ranks must be nonnegative\n"
+
+
+def test_derham_refuses_a_box_it_cannot_finish(capsys):
+    # 3^9 = 19,683 basis forms: about 6 s to build, so refused at once
+    code, out, err = run_cli(["derham", "--torus", "0", "--affine", "9"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: DeRhamError: ") and "10000 basis forms" in err
+
+
+def test_cone_pi0_of_a_large_finite_ring_is_refused(capsys):
+    code, out, _ = run_cli(["cone", "--base", "zmod:200001", "--d", "2"], capsys)
+    assert code == 0
+    body = json.loads(out)
+    assert body["quasi_ideal_law"] and "200001 elements" in body["pi0"]["unsupported"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "hodge-tate-equivalences", "--budget-enum", "-1"],
+        ["verify", "--suite", "witt-unit", "--budget-terms", "-1"],
+        ["verify", "--suite", "witt-unit", "--budget-enum", "ten"],
+        ["prismatic", "--ring", "zmod:4", "--index-set", "set:1", "--xi", "2", "--p", "2",
+         "--gens", "x", "--budget-enum", "-5"],
+    ],
+)
+def test_negative_budgets_are_usage_errors(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: UsageError: argument --budget-") and "non-negative" in err
 
 
 def test_module_invocation_subprocess():

@@ -252,6 +252,12 @@ def test_pi0_unsupported():
         cone_pi0(QuasiIdeal.rank_one(make_ring("poly(integers; x)"), 2))
 
 
+def test_pi0_of_a_large_finite_ring_is_refused():
+    # listing Z/200001 and a dict over it is past the enumeration cap
+    with pytest.raises(UnsupportedRing, match="200001 elements"):
+        cone_pi0(QuasiIdeal.rank_one(make_ring("zmod:200001"), 2))
+
+
 def test_quasi_ideal_json():
     from wittforge.cone import quasi_ideal_from_json, quasi_ideal_to_json
 

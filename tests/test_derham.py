@@ -150,3 +150,9 @@ def test_gadr_points():
 def test_bad_algebra():
     with pytest.raises(DeRhamError):
         MonomialAlgebra(-1, 0)
+
+
+@pytest.mark.parametrize("a, b, bounds", [(0, 9, ()), (6, 0, ()), (1, 1, (50, 50))])
+def test_a_box_past_the_form_cap_is_refused(a, b, bounds):
+    with pytest.raises(DeRhamError, match="more than 10000 basis forms"):
+        build_complex(MonomialAlgebra(a, b), *bounds)
