@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import product as iter_product
 
 from .numutil import WittforgeError
-from .rings import Ring, UnsupportedRing
+from .rings import ENUM_CAP, Ring, UnsupportedRing
 
 
 class ConeError(WittforgeError):
@@ -258,7 +258,9 @@ def cone_hom_set(q: QuasiIdeal, r1, r2):
     target = ring.sub(ring.raw(r2), ring.raw(r1))
     size = q.module.size()
     if size is not None:
-        if size > 10**6:
-            raise UnsupportedRing("module too large to enumerate")
+        if size > ENUM_CAP:
+            raise UnsupportedRing(
+                f"the hom set searches the {size} elements of the module, more than {ENUM_CAP}"
+            )
         return [x for x in q.module.elements() if q.d(x) == target]
     return q.module.solve(q.d_gens, target)

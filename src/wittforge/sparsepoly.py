@@ -18,13 +18,49 @@ different widths still compare and hash equal when their terms are equal.
 A product runs the larger operand in the outer loop and walks a prebuilt
 item list of the smaller one in the inner loop.  A k-th power is one chain:
 a^2 by half-pair squaring (pairs i <= j only, cross terms doubled), then
-a^(j+1) = a^j * a.  In an even variable list, swapping the two halves of a
-key (x <-> y in the sum and product families) is one divmod by the place
-value 256**(width * nvars // 2); when the input to a power is invariant under
-that swap, each a^j * a step multiplies only a's canonical and fixed terms
-and adds the mirror image of the canonical part.  The symmetry is read off
-the input, never assumed.  Division by an integer is exact-or-raise, never
-rounded.
+a^(j+1) = a^j * a.  Division by an integer is exact-or-raise, never rounded.
+
+`power_sum`, the sum of c * p^k over its summands, runs the powers with
+k >= 2 on strips.  A strip dict maps a sparse key to one Python int: the
+sparse key is a packed key with the field of one dense variable u emptied,
+and the int is sum(c_e * 2^(B*e)) over u's exponents e, B bits a slot.
+Adding sparse keys multiplies the rest of the monomials and multiplying the
+ints convolves the strips in C, so the same product and square loops run on
+strips.  The strips are unpacked once, after the last power; the summands
+with k < 2 are added to the unpacked terms.
+
+Gradings make the strips dense.  In a polynomial homogeneous for a weight
+vector w, fixing every exponent but u's also fixes u's, so every strip would
+hold one slot.  Each grading therefore names a variable v of weight 1 (and
+weight 0 in the other gradings), and the sparse key's field v holds
+e_v + w_u * e_u, the weighted degree less that of the fields the sparse key
+keeps.  On packed keys this is key -> key - e_u * step, where step is the
+packed monomial u / prod v^(w_u): the change is additive, so sums of sparse
+keys still multiply monomials, and invertible, since slot e of the strip on
+sparse key s is the monomial s + e * step.  A grading holds for any input;
+it changes how dense the strips are, never a result.  u is read off the
+data: the variable, other than a graded v, that leaves the fewest sparse
+keys on the largest base.  A slot costs its B bits whether it holds a term
+or not, so when the bases' strips would hold fewer terms than empty slots
+no variable is dense, and every strip is one slot.
+
+Slot width.  Let M = sum(|c| * |p|_1^k) over the powered summands, |p|_1
+the sum of the absolute values of p's coefficients.  Every value the power
+chain or the accumulation holds at a monomial, final or partial, is at most
+M in magnitude: a partial sum of the step a^j * a adds products of a
+coefficient of a^j and one of a, so it is at most
+|a^j|_1 * |a|_1 <= |a|_1^(j+1) <= |a|_1^k (as |a|_1 >= 1); the same holds for
+the square with its cross terms doubled, and the accumulation adds c times
+such values, one summand after another.  B is bit_length(M) + 1, rounded up
+to 8, 16, 32 or 64 bits or to a multiple of 8, so every slot value d has
+|d| <= M < 2^(B-1).  Then an int s = sum(d_e * 2^(B*e)) is zero only if
+every d_e is: with e' its last nonzero slot, the slots below it sum to at
+most (2^(B-1) - 1) * (2^(B*e') - 1) / (2^B - 1) < 2^(B*e') <= |d_e'| * 2^(B*e'),
+so `if s:` tests all slots of a strip at once.  Adding H, 2^(B-1) in every
+slot, puts each slot in [1, 2^B) with no borrow between slots, so
+(s + H) ^ H holds every d_e in B-bit two's complement, and the unpacking
+reads them in one pass.  The + 1 is the sign bit: with B = bit_length(M), a
+coefficient of M would spill into the next slot.
 
 `terms` is a read-only view that decodes the keys into exponent tuples, for
 tests and cold callers; `evaluate`, on the hot path of the prismatic point
@@ -34,10 +70,19 @@ the universal Witt polynomials.
 
 from __future__ import annotations
 
+import struct
+import sys
+from array import array
 from collections.abc import ItemsView, Mapping
+from functools import lru_cache, reduce
 from itertools import chain, repeat
+from operator import add, itemgetter, mul, or_, sub, xor
 
 from .rings import InexactDivision
+
+# array typecodes by item size in bytes
+_UNSIGNED = {array(code).itemsize: code for code in "QLIHB"}
+_SIGNED = {array(code).itemsize: code for code in "qlihb"}
 
 
 def _width_for(top: int) -> int:
@@ -49,10 +94,20 @@ def _width_for(top: int) -> int:
 
 
 def _decode(key: int, width: int, nvars: int) -> tuple:
-    raw = key.to_bytes(width * nvars, "little")
-    if width == 1:
-        return tuple(raw)
-    return tuple(int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width))
+    return tuple(_fields(key.to_bytes(width * nvars, "little"), width))
+
+
+def _fields(raw: bytes, width: int, signed: bool = False):
+    """The little-endian fields of `width` bytes in raw, decoded in one pass
+    when an array type has that width."""
+    codes = _SIGNED if signed else _UNSIGNED
+    if width not in codes:
+        return [int.from_bytes(raw[i : i + width], "little", signed=signed)
+                for i in range(0, len(raw), width)]
+    fields = array(codes[width], raw)
+    if sys.byteorder != "little":
+        fields.byteswap()
+    return fields
 
 
 def _encode(exps, width: int) -> int:
@@ -105,59 +160,130 @@ def _psquare(a: dict) -> dict:
     return out
 
 
-def _swap(key: int, place: int) -> int:
-    """Exchange the two halves of a packed key whose upper half has this place value."""
-    hi, lo = divmod(key, place)
-    return hi + lo * place
-
-
-def _is_swap_invariant(a: dict, place: int) -> bool:
-    return all(a.get(_swap(k, place)) == c for k, c in a.items())
-
-
-def _pmul_mirror(b: dict, canonical: dict, fixed: dict, place: int) -> dict:
-    """b * a for swap-invariant b and a = canonical + fixed + swap(canonical).
-
-    b * swap(canonical) is the mirror image of b * canonical, so only the
-    canonical and fixed terms of a are multiplied.
-    """
-    out = _pmul(b, canonical)
-    get = out.get
-    for k, c in list(out.items()):
-        hi, lo = divmod(k, place)
-        k = hi + lo * place
-        s = get(k, 0) + c
-        if s:
-            out[k] = s
-        else:
-            del out[k]
-    return _pmul(b, fixed, out)
-
-
-def _ppow(a: dict, k: int, place: int = 0) -> dict:
-    """a**k as one chain: a^2 by half-pair squaring, then a^(j+1) = a^j * a.
-
-    A nonzero place is the place value of the upper half of the keys; if a
-    is invariant under swapping the halves, the steps go through
-    _pmul_mirror.
-    """
-    if k < 2:
-        return a if k else {0: 1}
+def _ppow(a: dict, k: int) -> dict:
+    """a**k for k >= 2 as one chain: a^2 by half-pair squaring, then
+    a^(j+1) = a^j * a."""
     result = _psquare(a)
-    if k > 2 and place and _is_swap_invariant(a, place):
-        canonical, fixed = {}, {}
-        for key, c in a.items():
-            mirror = _swap(key, place)
-            if key < mirror:
-                canonical[key] = c
-            elif key == mirror:
-                fixed[key] = c
-        for _ in range(k - 2):
-            result = _pmul_mirror(result, canonical, fixed, place)
-    else:
-        for _ in range(k - 2):
-            result = _pmul(result, a)
+    for _ in range(k - 2):
+        result = _pmul(result, a)
     return result
+
+
+@lru_cache(maxsize=None)
+def _graded_variables(nvars: int, gradings: tuple) -> tuple:
+    """(v, w) for each grading: v its first variable of weight 1 that every
+    other grading weighs 0, and w its weights with a 0 appended for field
+    nvars, above every variable: the layout with no dense variable strips
+    along that field."""
+    graded = []
+    for j, w in enumerate(gradings):
+        if len(w) != nvars or min(w, default=0) < 0:
+            raise ValueError("a grading is one non-negative weight per variable")
+        others = gradings[:j] + gradings[j + 1 :]
+        v = next((i for i, wi in enumerate(w) if wi == 1 and not any(g[i] for g in others)), None)
+        if v is None:
+            raise ValueError("a grading needs a variable of weight 1 that the others weigh 0")
+        graded.append((v, (*w, 0)))
+    return tuple(graded)
+
+
+class _Strips:
+    """The strip layout of one power_sum (see the module docstring).
+
+    `bases` holds the strip dict of each summand's base, in order, on keys
+    of `width` bytes a field, `bits` bits a slot; no strip of the powers is
+    longer than `length` slots.  `unpack` turns a strip dict of this layout
+    back into packed terms on the same keys.
+    """
+
+    __slots__ = ("width", "bits", "step", "length", "bases")
+
+    def __init__(self, nvars: int, width: int, gradings, summands: list):
+        graded = _graded_variables(nvars, tuple(map(tuple, gradings)))
+        bases = [p for _, p, _ in summands]
+        exps = [_fields(p.key_bytes(), p.width) for p in bases]
+
+        def step_of(u, width):
+            """The packed monomial u / prod of v^(weight of u), over the gradings
+            whose v is not u."""
+            return (1 << 8 * width * u) - sum(w[u] << 8 * width * v for v, w in graded if v != u)
+
+        def strip_ends(s, u):
+            """The largest slot of each strip of base s along u, by sparse key."""
+            p, col = bases[s], exps[s][u::nvars]
+            return dict(sorted(zip(map(sub, p.packed, map(mul, col, repeat(step_of(u, p.width)))),
+                                   col)))
+
+        # u: the variable, other than a graded one, whose strips leave the
+        # fewest sparse keys on the largest base
+        big = max(range(len(bases)), key=lambda s: len(bases[s].packed))
+        p = bases[big]
+        support = _fields(reduce(or_, p.packed, 0).to_bytes(p.width * nvars, "little"), p.width)
+        vs = [v for v, _ in graded]
+        ends = {u: strip_ends(big, u) for u, e in enumerate(support) if e and u not in vs}
+        u = min(ends, key=lambda u: len(ends[u]), default=nvars)
+        # Each slot of a strip costs its bits whether it holds a term or not:
+        # if the bases' strips would hold fewer terms than empty slots, no
+        # variable is dense.
+        if u < nvars:
+            room = 0
+            for s in range(len(bases)):
+                e = ends[u] if s == big else strip_ends(s, u)
+                room += len(e) + sum(e.values())
+            if room > 2 * sum(len(p.packed) for p in bases):
+                u = nvars
+        # a sparse key's field v holds e_v + w_u * e_u: at most k times the
+        # base's largest such sum
+        top = 0
+        for (_, _, k), e in zip(summands, exps):
+            for v, w in graded:
+                if w[u] and v != u:
+                    top = max(top, k * max(map(add, e[v::nvars],
+                                               map(mul, e[u::nvars], repeat(w[u])))))
+        self.width = width = max(width, _width_for(top))
+        self.step = step = step_of(u, width)
+        # the narrowest slot of 8, 16, 32, 64, 72, 80, ... bits with
+        # bound < 2^(bits - 1) (see the module docstring)
+        bound = sum(abs(c) * sum(map(abs, p.packed.values())) ** k for c, p, k in summands)
+        bits = 8
+        while bound >> bits - 1:
+            bits += bits if bits < 64 else 8
+        self.bits = bits
+        shift, mask = 8 * width * u, (1 << 8 * width) - 1
+        self.bases, self.length = [], 1
+        for _, p, k in summands:
+            terms = p._at(width)
+            slots = [key >> shift & mask for key in terms]
+            strips: dict = {}
+            get = strips.get
+            for key, c, e in zip(terms, terms.values(), slots):
+                key -= e * step
+                strips[key] = get(key, 0) + (c << bits * e)
+            self.bases.append(strips)
+            self.length = max(self.length, k * max(slots) + 1)
+
+    def unpack(self, strips: dict) -> dict:
+        """The terms of a strip dict of this layout: slot e of the strip on
+        sparse key s is the monomial s + e * step."""
+        if self.length == 1:  # every strip is its slot 0: a coefficient on its key
+            return strips
+        bits, step, n = self.bits, self.step, self.length
+        nbytes = bits // 8
+        # half holds 2^(bits-1) in each of the n slots, so (s + half) ^ half
+        # holds each slot of s in two's complement and the slots past s's
+        # last nonzero one as zero bytes; those are cut, and each strip's
+        # bytes padded back to whole slots
+        half = int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
+        slots = map(xor, map(add, strips.values(), repeat(half)), repeat(half))
+        cut = [x.to_bytes(n * nbytes, "little").rstrip(b"\0") for x in slots]
+        lengths = [-(-len(b) // nbytes) for b in cut]
+        raw = b"".join(map(bytes.ljust, cut, map(mul, lengths, repeat(nbytes)), repeat(b"\0")))
+        del cut
+        digits = _fields(raw, nbytes, signed=True)
+        keys = chain.from_iterable(map(range, strips, map(add, strips, map(mul, lengths,
+                                                                           repeat(step))),
+                                       repeat(step)))
+        return dict(filter(itemgetter(1), zip(keys, digits)))
 
 
 class _Terms(Mapping):
@@ -217,6 +343,24 @@ class IntPoly:
         p = object.__new__(cls)
         p.nvars, p.width, p.top, p.packed = nvars, width, top, packed
         return p
+
+    @classmethod
+    def from_key_bytes(cls, nvars: int, width: int, raw: bytes, coeffs: list) -> "IntPoly":
+        """From the keys' bytes joined in term order, width * nvars bytes a
+        term, and the coefficients in the same order, all of them nonzero;
+        a key that repeats keeps its last coefficient.  The top is the OR of
+        the exponents, which has the bit length of the largest."""
+        size = width * nvars
+        keys = map(int.from_bytes, map(itemgetter(0), struct.iter_unpack(f"{size}s", raw)),
+                   repeat("little"))
+        packed = dict(zip(keys, coeffs))
+        top = max(_fields(reduce(or_, packed, 0).to_bytes(size, "little"), width), default=0)
+        return cls.from_packed(nvars, width, top, packed)
+
+    def key_bytes(self) -> bytes:
+        """The keys' bytes joined in term order, width * nvars bytes a term."""
+        size = self.width * self.nvars
+        return b"".join(map(int.to_bytes, self.packed, repeat(size), repeat("little")))
 
     @classmethod
     def const(cls, nvars, c):
@@ -286,8 +430,13 @@ class IntPoly:
         return IntPoly.power_sum(self.nvars, [(1, self, n)])
 
     @staticmethod
-    def power_sum(nvars: int, summands: list) -> "IntPoly":
-        """Sum of c * p**k over the (c, p, k) in summands, on one width."""
+    def power_sum(nvars: int, summands: list, gradings=()) -> "IntPoly":
+        """Sum of c * p**k over the (c, p, k) in summands.
+
+        Each grading is a weight per variable; the gradings change only how
+        densely the powers are packed into strips (see the module
+        docstring), never the result.
+        """
         top, width = 0, 1
         for _, p, k in summands:
             if k < 0:
@@ -295,16 +444,18 @@ class IntPoly:
             top = max(top, k * p.top)
             width = max(width, p.width)
         width = max(width, _width_for(top))
-        place = 256 ** (width * (nvars // 2)) if nvars and not nvars % 2 else 0
+        # out += c * p^k is the product of p^k and the constant c into out
         out: dict = {}
-        get = out.get
+        powered = [(c, p, k) for c, p, k in summands if c and p and k > 1]
+        if powered:
+            layout = _Strips(nvars, width, gradings, powered)
+            for (c, _, k), base in zip(powered, layout.bases):
+                _pmul(_ppow(base, k), {0: c}, out)
+            out = layout.unpack(out)
+            width = layout.width
         for c, p, k in summands:
-            for key, v in _ppow(p._at(width), k, place).items():
-                s = get(key, 0) + c * v
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+            if c and k < 2:
+                _pmul(p._at(width) if k else {0: 1}, {0: c}, out)
         return IntPoly.from_packed(nvars, width, top, out)
 
     def exact_div(self, n: int) -> "IntPoly":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .indexset import IndexSet
 from .numutil import factorize, is_prime
-from .rings import Ring
+from .rings import ENUM_CAP, Ring
 from .witt import (
     WittError,
     WittVector,
@@ -32,9 +32,6 @@ from .witt import (
     witt_unit_inverse,
     witt_zero,
 )
-
-DEFAULT_ENUM_CAP = 10**6
-
 
 class ContextError(WittError):
     pass
@@ -143,14 +140,14 @@ def wf_annihilator_check(a: WittVector, direction: str) -> bool:
     if direction == "kills_VW":
         for p in E.primes():
             source = E.restrict(p)
-            if witt_space_size(source, ring) > DEFAULT_ENUM_CAP:
+            if witt_space_size(source, ring) > ENUM_CAP:
                 raise EnumerationBudget("Verschiebung source too large")
             for b in witt_space(source, ring):
                 if not witt_mul(a, verschiebung(p, b, E)).is_zero():
                     return False
         return True
     if direction == "killed_by_WF":
-        if witt_space_size(E, ring) > DEFAULT_ENUM_CAP:
+        if witt_space_size(E, ring) > ENUM_CAP:
             raise EnumerationBudget("space too large")
         for w in witt_space(E, ring):
             if is_in_wf(w) and not witt_mul(a, w).is_zero():
@@ -318,7 +315,7 @@ def v_nonfree_obstruction(E: IndexSet) -> dict:
             continue
         fac = factorize(n)
         slots.append((n, list(fac)[0] if len(fac) == 1 else None))
-    if 2 ** len(slots) > DEFAULT_ENUM_CAP:
+    if 2 ** len(slots) > ENUM_CAP:
         raise EnumerationBudget(f"{2 ** len(slots)} sign patterns exceed the bound")
     from itertools import product as iproduct
 

@@ -32,7 +32,6 @@ import os
 import tempfile
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import repeat
 
 from .indexset import IndexSet
 from .numutil import WittforgeError, divisors, factorize
@@ -114,6 +113,15 @@ def _var_weights(E: IndexSet, op: str) -> list[int]:
     return list(E.elements)
 
 
+def _gradings(E: IndexSet, op: str) -> list[list[int]]:
+    """Weight vectors under which every level of the family is homogeneous:
+    one per block for products, which are homogeneous in x and in y apart."""
+    if op == "product":
+        zeros = [0] * len(E)
+        return [list(E.elements) + zeros, zeros + list(E.elements)]
+    return [_var_weights(E, op)]
+
+
 def _slice_bound(weights, W) -> int:
     """Number of monomials of weighted degree exactly W (unbounded knapsack)."""
     cnt = [0] * (W + 1)
@@ -177,9 +185,8 @@ def _level_to_json(p: IntPoly) -> dict:
     coefficients as an int list in the same order."""
     if p.width > 1:
         p = IntPoly(p.nvars, p.terms)  # its top may be a loose bound
-    step = p.width * p.nvars
-    raw = b"".join(map(int.to_bytes, p.packed, repeat(step), repeat("little")))
-    return {"width": p.width, "exponents": raw.hex(), "coefficients": list(p.packed.values())}
+    return {"width": p.width, "exponents": p.key_bytes().hex(),
+            "coefficients": list(p.packed.values())}
 
 
 def _level_from_json(data, nvars: int) -> IntPoly:
@@ -187,17 +194,12 @@ def _level_from_json(data, nvars: int) -> IntPoly:
     if width not in (1, 2, 4, 8):
         raise ValueError("exponent width is not 1, 2, 4 or 8 bytes")
     raw = bytes.fromhex(data["exponents"])
-    step = width * nvars
-    if len(raw) != step * len(coeffs):
+    if len(raw) != width * nvars * len(coeffs):
         raise ValueError("exponent length is not nvars times the number of terms")
-    keys = [int.from_bytes(raw[i : i + step], "little") for i in range(0, len(raw), step)]
-    packed = dict(zip(keys, coeffs))
-    if len(packed) != len(coeffs) or 0 in coeffs or set(map(type, coeffs)) - {int}:
+    p = IntPoly.from_key_bytes(nvars, width, raw, coeffs)
+    if len(p.packed) != len(coeffs) or 0 in coeffs or set(map(type, coeffs)) - {int}:
         raise ValueError("duplicate monomials, or coefficients that are zero or not integers")
-    exps = raw if width == 1 else (
-        int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
-    )
-    return IntPoly.from_packed(nvars, width, max(exps, default=0), packed)
+    return p
 
 
 def _entry_from_json(obj) -> UniversalEntry:
@@ -238,16 +240,16 @@ def _certify_step(E: IndexSet, op: str, n: int):
                 )
 
 
-def _random_eval_check(E, op, n, polys, rng):
-    """Spot-check the generated level n of polys against the ghost identity over Z."""
-    names = _var_names(E, op)
+def _random_eval_check(op, n, target, polys, rng):
+    """Spot-check the generated level n of polys against the ghost identity
+    over Z, whose ghost side is target."""
     for _ in range(3):
-        vals = [rng.randint(-6, 6) for _ in names]
+        vals = [rng.randint(-6, 6) for _ in range(target.nvars)]
         lhs = 0
         for d in divisors(n):
             if d in polys:
                 lhs += d * polys[d].evaluate(INTEGERS, vals) ** (n // d)
-        rhs = _ghost_target(E, op, n).evaluate(INTEGERS, vals)
+        rhs = target.evaluate(INTEGERS, vals)
         if lhs != rhs:
             raise GenerationError(f"ghost identity violated at level {n} of {op}")
 
@@ -266,6 +268,7 @@ def generate_universal_polynomials(
     names = _var_names(E, op)
     levels = _family_levels(E, op)
     nvars = len(names)
+    gradings = _gradings(E, op)
     polys: dict = {}
     certified: list[int] = []
 
@@ -276,11 +279,12 @@ def generate_universal_polynomials(
             polys[n] = None
             certified.append(n)
             continue
-        summands = [(1, _ghost_target(E, op, n), 1)] + [(-d, polys[d], n // d) for d in lower]
-        poly_n = IntPoly.power_sum(nvars, summands).exact_div(n)
+        target = _ghost_target(E, op, n)
+        summands = [(1, target, 1)] + [(-d, polys[d], n // d) for d in lower]
+        poly_n = IntPoly.power_sum(nvars, summands, gradings).exact_div(n)
         polys[n] = poly_n
         if poly_n.num_terms() <= SYMBOLIC_VERIFY_CAP:
-            _random_eval_check(E, op, n, polys, rng)
+            _random_eval_check(op, n, target, polys, rng)
     return UniversalEntry(E, op, names, levels, polys, certified)
 
 

@@ -364,6 +364,15 @@ def test_cone_pi0_of_a_large_finite_ring_is_refused(capsys):
     assert body["quasi_ideal_law"] and "200001 elements" in body["pi0"]["unsupported"]
 
 
+def test_cone_hom_set_of_a_large_finite_module_is_refused(capsys):
+    # the hom set lists module elements under the same cap as pi0
+    code, out, err = run_cli(["cone", "--base", "zmod:900000", "--d", "2", "--hom", "0", "2"],
+                             capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: UnsupportedRing: the hom set searches the 900000 elements")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

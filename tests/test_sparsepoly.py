@@ -2,7 +2,12 @@
 product on exponent tuples, and evaluation at random integer points.
 
 The strategies draw exponents on both sides of 255 -> 256, so that products,
-powers, sums and substitutions cross from one-byte to two-byte keys."""
+powers, sums and substitutions cross from one-byte to two-byte keys.  Each
+strategy is built once per variable count and variable subset and then
+shared, so that Hypothesis builds and validates it once rather than on
+every draw."""
+
+from functools import lru_cache
 
 import pytest
 
@@ -36,13 +41,20 @@ def exponents(max_exp):
     return st.integers(0, max_exp) | st.integers(254, 257)
 
 
-@st.composite
-def polys(draw, nvars, max_exp=4, max_terms=5):
-    """Sparse polynomials, often zero or constant, often missing some variables."""
-    used = draw(st.sets(st.integers(0, nvars - 1), max_size=nvars)) if nvars else set()
+@lru_cache(maxsize=None)
+def term_dicts(nvars, used, max_exp, max_terms):
+    """Terms in the variables of `used` only."""
     exps = st.tuples(*(exponents(max_exp) if i in used else st.just(0) for i in range(nvars)))
-    terms = draw(st.dictionaries(exps, st.integers(-9, 9), max_size=max_terms))
-    return IntPoly(nvars, terms)
+    return st.dictionaries(exps, st.integers(-9, 9), max_size=max_terms)
+
+
+@lru_cache(maxsize=None)
+def polys(nvars, max_exp=4, max_terms=5):
+    """Sparse polynomials, often zero or constant, often missing some variables."""
+    used = st.sets(st.integers(0, nvars - 1), max_size=nvars) if nvars else st.just(set())
+    return used.flatmap(
+        lambda u: term_dicts(nvars, frozenset(u), max_exp, max_terms)
+    ).map(lambda terms: IntPoly(nvars, terms))
 
 
 def naive_add(a: dict, b: dict) -> dict:
@@ -56,11 +68,22 @@ def evaluate(p, point):
     return p.evaluate(INTEGERS, point)
 
 
+@lru_cache(maxsize=None)
+def points(nvars):
+    return st.lists(st.integers(-3, 3), min_size=nvars, max_size=nvars)
+
+
 @st.composite
 def cases(draw):
     nvars = draw(st.integers(0, 4))
-    point = draw(st.lists(st.integers(-3, 3), min_size=nvars, max_size=nvars))
-    return nvars, point
+    return nvars, draw(points(nvars))
+
+
+@lru_cache(maxsize=None)
+def dense_dicts(nvars):
+    """10 to 30 nonzero terms of exponents up to 6."""
+    exps = st.tuples(*(st.integers(0, 6) for _ in range(nvars)))
+    return st.dictionaries(exps, st.integers(-9, 9).filter(bool), min_size=10, max_size=30)
 
 
 @SETTINGS
@@ -106,10 +129,8 @@ def test_product_of_unequal_sizes(data):
     # a large operand (up to ~30 terms) against a small one, in both orders, so
     # the larger-operand-outer loop runs with either argument outermost
     nvars = data.draw(st.integers(2, 4))
-    point = data.draw(st.lists(st.integers(-3, 3), min_size=nvars, max_size=nvars))
-    exps = st.tuples(*(st.integers(0, 6) for _ in range(nvars)))
-    nonzero = st.integers(-9, 9).filter(bool)
-    big = IntPoly(nvars, data.draw(st.dictionaries(exps, nonzero, min_size=10, max_size=30)))
+    point = data.draw(points(nvars))
+    big = IntPoly(nvars, data.draw(dense_dicts(nvars)))
     small = data.draw(polys(nvars, max_terms=3))
     for p, q in ((big, small), (small, big)):
         pq = p * q
@@ -223,8 +244,8 @@ def test_terms_view_is_read_only():
 
 
 # ---------------------------------------------------------------------------
-# block-symmetric inputs: powers of polynomials invariant under swapping the
-# two halves of the variable list run through the mirrored product steps
+# block-symmetric inputs, the shape of the sum and product families: powers
+# of polynomials invariant under swapping the two halves of the variable list
 
 
 def swapped(p: IntPoly) -> IntPoly:
@@ -232,14 +253,20 @@ def swapped(p: IntPoly) -> IntPoly:
     return IntPoly(p.nvars, {e[half:] + e[:half]: c for e, c in p.terms.items()})
 
 
+@lru_cache(maxsize=None)
+def half_dicts(half, max_exp):
+    block = st.tuples(*(exponents(max_exp) for _ in range(half)))
+    return st.dictionaries(block, st.integers(-9, 9), max_size=3)
+
+
+@lru_cache(maxsize=None)
 @st.composite
 def symmetric_polys(draw, half, max_exp=3):
     """p + swap(p), plus fixed terms (equal halves), minus some of p's terms
     with their mirrors, so that those monomials cancel again."""
     nvars = 2 * half
     p = draw(polys(nvars, max_exp))
-    block = st.tuples(*(exponents(max_exp) for _ in range(half)))
-    fixed = draw(st.dictionaries(block, st.integers(-9, 9), max_size=3))
+    fixed = draw(half_dicts(half, max_exp))
     f = IntPoly(nvars, {e + e: c for e, c in fixed.items()})
     cancel = IntPoly(nvars, {e: c for e, c in p.terms.items() if draw(st.booleans())})
     return p + swapped(p) + f - (cancel + swapped(cancel))
@@ -248,8 +275,7 @@ def symmetric_polys(draw, half, max_exp=3):
 @st.composite
 def symmetric_cases(draw):
     half = draw(st.integers(1, 2))
-    point = draw(st.lists(st.integers(-3, 3), min_size=2 * half, max_size=2 * half))
-    return half, point
+    return half, draw(points(2 * half))
 
 
 @SETTINGS
@@ -282,7 +308,7 @@ def test_symmetric_power_sum(data):
     summand = st.tuples(st.integers(-4, 4), symmetric_polys(half, max_exp=2), st.integers(0, 5))
     summands = data.draw(st.lists(summand, min_size=1, max_size=3))
     if data.draw(st.booleans()):
-        # a summand that is not swap-invariant takes the plain path
+        # and a summand that is not swap-invariant
         summands.append((1, data.draw(polys(nvars, max_exp=2)), data.draw(st.integers(0, 4))))
     total = IntPoly.power_sum(nvars, summands)
     expected = IntPoly(nvars)
@@ -296,7 +322,7 @@ def test_symmetric_power_sum(data):
 @hypothesis.given(st.data())
 def test_symmetric_maxima_without_symmetry(data):
     # a support that is swap-invariant but a coefficient that breaks the
-    # swap invariance: the power must fall back to the plain path
+    # swap invariance
     half, _ = data.draw(symmetric_cases())
     nvars = 2 * half
     p = data.draw(symmetric_polys(half, max_exp=2))
@@ -319,3 +345,142 @@ def test_symmetric_edge_cases():
     # x^2 + 2x + y^2 - y has symmetric maxima and is not swap-invariant
     p = x**2 + 2 * x + y**2 - y
     assert (p**3).terms == naive_pow(p.terms, 3, 2)
+
+
+# ---------------------------------------------------------------------------
+# strips: power_sum packs one dense variable of each monomial class into an
+# int.  A grading (weights under which a summand may or may not be
+# homogeneous) changes only how dense the strips are, never a result.
+
+
+def naive_power_sum(nvars, summands) -> dict:
+    total: dict = {}
+    for c, p, k in summands:
+        total = naive_add(total, {e: c * v for e, v in naive_pow(p.terms, k, nvars).items()})
+    return total
+
+
+@st.composite
+def gradings(draw, nvars):
+    """One grading over all variables, or one per block of a split variable
+    list, as for the product families: weights 0 to 3, with a variable of
+    weight 1 in each grading that the other grading weighs 0."""
+    if nvars >= 2 and draw(st.booleans()):
+        cut = draw(st.integers(1, nvars - 1))
+        blocks = [range(cut), range(cut, nvars)]
+    else:
+        blocks = [range(nvars)]
+    out = []
+    for block in blocks:
+        w = [0] * nvars
+        for i in block:
+            w[i] = draw(st.integers(0, 3))
+        w[draw(st.sampled_from(block))] = 1
+        out.append(w)
+    return out
+
+
+def homogeneous_part(p: IntPoly, w) -> IntPoly:
+    """The terms of p of the weighted degree of its first term."""
+    degrees = {e: sum(x * y for x, y in zip(e, w)) for e in p.terms}
+    first = next(iter(degrees.values()), None)
+    return IntPoly(p.nvars, {e: c for e, c in p.terms.items() if degrees[e] == first})
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_power_sum_under_gradings(data):
+    # bases homogeneous for the first grading (dense strips, as in the
+    # universal families) or not homogeneous at all
+    nvars = data.draw(st.integers(1, 4))
+    grading = data.draw(gradings(nvars))
+    summand = st.tuples(st.integers(-4, 4), polys(nvars, max_exp=3), st.integers(0, 4))
+    summands = data.draw(st.lists(summand, max_size=4))
+    if data.draw(st.booleans()):
+        summands = [(c, homogeneous_part(p, grading[0]), k) for c, p, k in summands]
+    total = IntPoly.power_sum(nvars, summands, grading)
+    assert total.terms == naive_power_sum(nvars, summands)
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_power_sum_two_block_gradings(data):
+    # bases that are products of a homogeneous polynomial in each block, as
+    # in the product families, so each block's strips are dense
+    nvars = data.draw(st.integers(2, 4))
+    cut = data.draw(st.integers(1, nvars - 1))
+    w = data.draw(st.lists(st.integers(1, 3), min_size=nvars, max_size=nvars))
+    w[0] = w[cut] = 1
+    grading = [w[:cut] + [0] * (nvars - cut), [0] * cut + w[cut:]]
+    summands = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        x = homogeneous_part(data.draw(polys(nvars, max_exp=3)), grading[0])
+        y = homogeneous_part(data.draw(polys(nvars, max_exp=3)), grading[1])
+        xy = IntPoly(nvars, naive_mul(x.terms, y.terms))
+        summands.append((data.draw(st.integers(-4, 4)), xy, data.draw(st.integers(1, 4))))
+    total = IntPoly.power_sum(nvars, summands, grading)
+    assert total.terms == naive_power_sum(nvars, summands)
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_power_sum_small_powers(data):
+    # k = 0 and 1 are added without a power, k = 2 is the square alone
+    nvars = data.draw(st.integers(1, 3))
+    grading = data.draw(gradings(nvars) | st.just([]))
+    summand = st.tuples(st.integers(-4, 4), polys(nvars), st.sampled_from([0, 1, 2]))
+    summands = data.draw(st.lists(summand, max_size=4))
+    total = IntPoly.power_sum(nvars, summands, grading)
+    assert total.terms == naive_power_sum(nvars, summands)
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_power_sum_at_the_slot_bound(data):
+    # c * (a * m)^k for a monomial m has the coefficient c * a^k, which is the
+    # bound the slot width is made from; it is drawn with a bit length of 8,
+    # 16, 32 or 64 or a multiple of 8 past 64, where one bit fewer would give
+    # a slot too narrow to hold it.  m has exponent 1 in variable 0, so the
+    # powers run on strips along it, the coefficient in slot k.
+    nvars = data.draw(st.integers(1, 3))
+    bits = 8 * data.draw(st.sampled_from([1, 2, 4, 8, 9, 16]))
+    k = data.draw(st.integers(2, 4))
+    a = data.draw(st.sampled_from([1, 2, 3]))
+    c = data.draw(st.integers(-(-(2 ** (bits - 1)) // a**k), (2**bits - 1) // a**k))
+    c *= data.draw(st.sampled_from([1, -1]))
+    a *= data.draw(st.sampled_from([1, -1]))
+    m = (1,) + data.draw(st.tuples(*(exponents(3) for _ in range(nvars - 1))))
+    # beside it, outside the bound, a term m^k * v added to the unpacked ones
+    v = data.draw(st.integers(0, nvars - 1))
+    beside = tuple(k * e + (i == v) for i, e in enumerate(m))
+    summands = [(c, IntPoly(nvars, {m: a}), k), (1, IntPoly(nvars, {beside: 1}), 1)]
+    total = IntPoly.power_sum(nvars, summands)
+    assert total.terms == naive_power_sum(nvars, summands)
+    assert max(map(abs, total.terms.values())) == abs(c * a**k) >= 2 ** (bits - 1)
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_power_sum_cancelling_to_zero(data):
+    # c * p^(2j) - c * (p^2)^j + q - q is zero: every strip cancels
+    nvars = data.draw(st.integers(1, 3))
+    grading = data.draw(gradings(nvars) | st.just([]))
+    p, q = data.draw(polys(nvars, max_exp=3)), data.draw(polys(nvars))
+    j, c = data.draw(st.integers(1, 3)), data.draw(st.integers(-4, 4))
+    square = IntPoly(nvars, naive_mul(p.terms, p.terms))
+    summands = [(c, p, 2 * j), (-c, square, j), (1, q, 1), (-1, q, 1)]
+    assert IntPoly.power_sum(nvars, summands, grading).terms == {}
+
+
+def test_power_sum_strip_edge_cases():
+    x, y = IntPoly.var(2, 0), IntPoly.var(2, 1)
+    # exponents far apart: strips along either variable would be almost all
+    # empty slots
+    p = IntPoly.var(2, 0, power=2**40) + y
+    assert IntPoly.power_sum(2, [(1, p, 3)], [[1, 1]]).terms == naive_pow(p.terms, 3, 2)
+    # (x + y)^k is one strip under the grading (1, 1)
+    assert IntPoly.power_sum(2, [(2, x + y, 4)], [[1, 1]]).terms == {
+        e: 2 * c for e, c in naive_pow((x + y).terms, 4, 2).items()}
+    for bad in ([[2, 2]], [[1, 1], [1, 1]], [[1]], [[1, -1]]):
+        with pytest.raises(ValueError):
+            IntPoly.power_sum(2, [(1, x + y, 2)], bad)
