@@ -19,7 +19,6 @@ otherwise.  It is packaged through the Rees dictionary with Fil^i in degree
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product as iter_product
 
@@ -77,7 +76,7 @@ class ComplexSlice:
             m2, m1 = self.d_mats[k + 1], self.d_mats[k]
             for r in range(len(self.bases[k + 2])):
                 for c in range(len(self.bases[k])):
-                    acc = Fraction(0)
+                    acc = 0
                     for mid in range(len(self.bases[k + 1])):
                         acc += m2[r][mid] * m1[mid][c]
                     if acc != 0:
@@ -119,7 +118,7 @@ def _slice_for(A: MonomialAlgebra, character) -> ComplexSlice:
     for k in range(n):
         src, tgt = bases[k], bases[k + 1]
         pos = {st: r for r, st in enumerate(tgt)}
-        mat = [[Fraction(0)] * len(src) for _ in range(len(tgt))]
+        mat = [[0] * len(src) for _ in range(len(tgt))]
         for cidx, (S, T) in enumerate(src):
             for i in range(a):
                 if i in S:

@@ -7,14 +7,24 @@ Fil^i placed in degree -i and t acting by the inclusion Fil^i -> Fil^{i-1},
 which raises the grading degree by one; this normalization is pinned by
 requiring that the filtered line with Fil^i full exactly for i <= 1 go to
 the free module on one generator in degree -1.
+
+The linear algebra over Q eliminates without fractions.  rref scales each
+row by the lcm of its denominators to an integer row, eliminates on integer
+rows (row_i <- a*row_i - b*pivot_row with a/b the reduced ratio of the
+pivot to row_i's entry, then divided by its content, the gcd of its
+entries), and divides each pivot row by its pivot into Fractions only at the
+end.  The reduced row echelon form is unique, so the bases, and with them
+subspace equality and hashing, are those of plain Gauss-Jordan over Q.
+Subspace.reduce does the same with the basis rows' integer multiples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement
-from math import prod
+from math import gcd, lcm, prod
 
 from .numutil import WittforgeError, binomial
 from .sparsepoly import IntPoly
@@ -32,28 +42,46 @@ class TorsionError(FiltrationError):
 # exact linear algebra over Q
 
 
+def _primitive(row):
+    """The integer row divided by the gcd of its entries (its content)."""
+    g = gcd(*row)
+    return row if g < 2 else [x // g for x in row]
+
+
+def _integer_row(row):
+    """A row of ints or Fractions times the lcm of its denominators, made primitive."""
+    d = lcm(*(x.denominator for x in row))
+    return _primitive([x.numerator * (d // x.denominator) for x in row])
+
+
 def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot columns)."""
-    rows = [list(map(Fraction, r)) for r in rows]
+    """Reduced row echelon form; returns (rows, pivot columns).
+
+    The rows are eliminated as integer rows, each kept primitive, and each
+    pivot row is divided by its pivot only at the end.
+    """
+    rows = [_integer_row(r) for r in rows]
     pivots = []
     r = 0
     ncols = len(rows[0]) if rows else 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        prow = rows[r]
+        p = prow[c]
         for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                rows[i] = _primitive([a * x - b * y for x, y in zip(rows[i], prow)])
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return [tuple(row) for row in rows[:r]], pivots
+    return [tuple(Fraction(x, row[c]) for x in row) for row, c in zip(rows, pivots)], pivots
 
 
 def matrix_rank(rows):
@@ -91,27 +119,45 @@ class Subspace:
         """The pivot column of each basis row (its first nonzero entry)."""
         return [next(j for j, x in enumerate(row) if x != 0) for row in self.basis]
 
-    def reduce(self, v):
-        """(coordinates of v on the basis, residual of v against the span).
+    @cached_property
+    def _integer_rows(self):
+        """(m, [(c, R)]): each basis row is R / R[c], R an integer row with its
+        pivot in column c, and m is the lcm of the pivots R[c]."""
+        rows = [(c, _integer_row(row)) for row, c in zip(self.basis, self.pivots())]
+        return lcm(*(R[c] for c, R in rows)), rows
 
-        v is the coordinates' combination of the basis rows plus the
-        residual, which is zero exactly when v lies in the subspace.
+    def _residual(self, v):
+        """(s, r): the residual of v against the span is r / s, r an integer row.
+
+        With s = m times the lcm of v's denominators, s*v is an integer row
+        and every multiplier s*v[c] / R[c] of a basis row is an integer.
         """
         if len(v) != self.ambient:
             raise FiltrationError(
                 f"vector of length {len(v)} in a subspace of Q^{self.ambient}"
             )
-        v = list(map(Fraction, v))
-        coords = []
-        for row, c in zip(self.basis, self.pivots()):
-            f = v[c]
-            coords.append(f)
-            if f != 0:
-                v = [a - f * b for a, b in zip(v, row)]
-        return coords, v
+        m, rows = self._integer_rows
+        s = m * lcm(*(x.denominator for x in v))
+        r = [x.numerator * (s // x.denominator) for x in v]
+        for c, R in rows:
+            f = r[c] // R[c]
+            if f:
+                r = [a - f * b for a, b in zip(r, R)]
+        return s, r
+
+    def reduce(self, v):
+        """(coordinates of v on the basis, residual of v against the span).
+
+        v is the coordinates' combination of the basis rows plus the
+        residual, which is zero exactly when v lies in the subspace.  The
+        basis rows vanish in each other's pivot columns, so the coordinates
+        are v's entries there.
+        """
+        s, r = self._residual(v)
+        return [Fraction(v[c]) for c, _ in self._integer_rows[1]], [Fraction(x, s) for x in r]
 
     def contains_vector(self, v):
-        return not any(self.reduce(v)[1])
+        return not any(self._residual(v)[1])
 
     def contains(self, other: "Subspace"):
         return all(self.contains_vector(r) for r in other.basis)
@@ -128,7 +174,7 @@ class Subspace:
 
 
 def kron(v, w):
-    return tuple(Fraction(a) * Fraction(b) for a in v for b in w)
+    return tuple(a * b for a in v for b in w)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +273,10 @@ def day_tensor(M: FilteredModule, N: FilteredModule) -> FilteredModule:
     for i in range(lo, hi + 1):
         rows = []
         for j in range(M.lo, max(M.hi, i - N.lo) + 1):
-            mj = M.piece(j)
-            nk = N.piece(i - j)
-            for v in mj.basis:
-                for w in nk.basis:
+            # the integer multiples of the basis rows span the same pieces
+            nk = N.piece(i - j)._integer_rows[1]
+            for _, v in M.piece(j)._integer_rows[1]:
+                for _, w in nk:
                     rows.append(kron(v, w))
         pieces[i] = Subspace.span(ambient, rows)
     tail = "zero" if pieces[hi].dim() == 0 else "constant"
@@ -475,8 +521,8 @@ def iadic_filtered_module(g: int, top_degree: int, total_degree_cap: int) -> Fil
         rows = []
         for k, m in enumerate(monos):
             if sum(m[g:]) >= i:
-                v = [Fraction(0)] * ambient
-                v[k] = Fraction(1)
+                v = [0] * ambient
+                v[k] = 1
                 rows.append(v)
         pieces[i] = Subspace.span(ambient, rows)
     pieces[top_degree + 1] = Subspace.zero(ambient)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from operator import add as _add
 
 from .numutil import WittforgeError, crt_pair, factorize, inverse_mod, is_prime
@@ -141,6 +141,16 @@ class Ring:
         The Witt kernel computes over S, where the ghost map is injective.
         """
         self._unsupported("lift")
+
+    # The optional hook of a ring of fractions of a ring S: a method
+    # clear_denominators(*value_lists) -> (S, D, scale, unscale), where D is a
+    # positive integer that clears the denominators of all the values and,
+    # for k a multiple of D, scale(v, k) is k*v as a raw value of S and
+    # unscale(z, k) is z/k as a raw value here.  The Witt kernel then
+    # computes over S on Teichmuller multiples [D]x.  None on every other
+    # ring, whose values are computed on as they are; an attribute rather
+    # than a method answering None, so that asking costs no call.
+    clear_denominators = None
 
     def quotient_by(self, values):
         """(R/I, reduce) for the ideal I the values generate, in the shape of
@@ -374,6 +384,11 @@ class RationalRing(_NumberRing):
     def unit_inverse(self, a):
         return 1 / a if a != 0 else None
 
+    def clear_denominators(self, *value_lists):
+        """Z, the lcm of the denominators, k*v as an int and z/k as a Fraction."""
+        d = lcm(*(v.denominator for values in value_lists for v in values))
+        return INTEGERS, d, _times, Fraction
+
     def quotient_by(self, values):
         return _zero_quotient() if any(values) else (self, _same)
 
@@ -388,6 +403,11 @@ class RationalRing(_NumberRing):
             return Fraction(s)
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in {s!r}") from None
+
+
+def _times(v: Fraction, k: int) -> int:
+    """k*v for a multiple k of v's denominator."""
+    return v.numerator * (k // v.denominator)
 
 
 class ZModRing(Ring):

@@ -357,10 +357,12 @@ class IntPoly:
         top = max(_fields(reduce(or_, packed, 0).to_bytes(size, "little"), width), default=0)
         return cls.from_packed(nvars, width, top, packed)
 
-    def key_bytes(self) -> bytes:
-        """The keys' bytes joined in term order, width * nvars bytes a term."""
+    def key_bytes(self, keys=None) -> bytes:
+        """The bytes of the keys (by default this polynomial's, in term order)
+        joined, width * nvars bytes a key."""
         size = self.width * self.nvars
-        return b"".join(map(int.to_bytes, self.packed, repeat(size), repeat("little")))
+        return b"".join(map(int.to_bytes, self.packed if keys is None else keys,
+                            repeat(size), repeat("little")))
 
     @classmethod
     def const(cls, nvars, c):

@@ -181,12 +181,14 @@ class UniversalEntry:
 def _level_to_json(p: IntPoly) -> dict:
     """One level for the cache file: the exponent bytes of its keys at the
     narrowest width (1, 2, 4 or 8 bytes per exponent, little-endian) that
-    holds its largest exponent, joined in term order and hex-encoded, and its
-    coefficients as an int list in the same order."""
+    holds its largest exponent, joined in increasing key order and
+    hex-encoded, and its coefficients as an int list in the same order.  The
+    bytes depend on the terms alone, not on the order they were made in."""
     if p.width > 1:
         p = IntPoly(p.nvars, p.terms)  # its top may be a loose bound
-    return {"width": p.width, "exponents": p.key_bytes().hex(),
-            "coefficients": list(p.packed.values())}
+    keys = sorted(p.packed)
+    return {"width": p.width, "exponents": p.key_bytes(keys).hex(),
+            "coefficients": list(map(p.packed.__getitem__, keys))}
 
 
 def _level_from_json(data, nvars: int) -> IntPoly:

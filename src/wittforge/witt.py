@@ -15,12 +15,26 @@ g_d(F_n a) = g_{nd}(a)) and the triangular unit solve.  Unghosting over S
 divides by n exactly, checked by S.exact_div_int.  Every step is a plain
 ring operation, so there is no term cap; the universal polynomials of
 ``universal`` stay an independent cross-check in the tests.
+
+Over Q the kernel computes on integers (Ring.clear_denominators).  Ghost
+components are isobaric, so the Teichmuller multiple [D]x = (D^n x_n)_n has
+g_n([D]x) = D^n g_n(x).  With D the lcm of the operands' denominators, [D]x
+is integral, and [D]a o [D]b = [D](a o b) for o in {+, -}, [D^2](a b) for
+the product, -[D]a = [D](-a) and F_n([D]a) = [D^n] F_n(a): the plan runs
+over Z and each coordinate z_n of the result comes back as z_n / s^n, for
+s = D, D^2 or D^n.  ghost_raw reads g_n(x) = g_n([D]x) / D^n.  The public
+unghost of a rational ghost vector w takes D = lcm(denominators of w) times
+rad(lcm E).  Then [D]x is integral by Dwork's criterion: for a prime p and
+m with mp in E, p divides D, so D^m w_m and D^{mp} w_{mp} are both divisible
+by p^m, and p^m by p^{1 + v_p(m)}.  Every division of the integral unghost
+is therefore exact, and S.exact_div_int still raises if one is not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
+from math import lcm, prod
 
 from .indexset import IndexSet
 from .numutil import WittforgeError, divisors, factorize, valuation
@@ -158,10 +172,11 @@ class _Plan:
     order, f being the largest exponent already at hand that divides e.
     """
 
-    __slots__ = ("elements", "pos", "lower", "chain", "_restricted")
+    __slots__ = ("elements", "pos", "lower", "chain", "radical", "_restricted")
 
     def __init__(self, E: IndexSet):
         self.elements = E.elements
+        self.radical = prod(factorize(lcm(*E.elements)))
         self.pos = {n: i for i, n in enumerate(E.elements)}
         self.lower = tuple(
             tuple((self.pos[d], d, n // d) for d in divisors(n) if d < n) for n in E.elements
@@ -242,13 +257,39 @@ def _unghost(plan: _Plan, ring: Ring, w) -> list:
     return xs
 
 
+def _cleared(ring: Ring, elements, lists, factor: int = 1):
+    """(S, D, lists over S, unscale) over a ring of fractions of S.
+
+    Each list, coordinates or ghost components indexed by elements, becomes
+    that of the Teichmuller multiple [D]x, its entry at n times D^n, with D
+    factor times the common denominator of Ring.clear_denominators.
+    """
+    S, D, scale, unscale = ring.clear_denominators(*lists)
+    D *= factor
+    ks = [D**n for n in elements]
+    return S, D, [tuple(map(scale, xs, ks)) for xs in lists], unscale
+
+
+def _divided(unscale, zs, elements, s: int) -> tuple:
+    """y from the coordinates (or ghosts) zs over S of [s]y: z_n / s^n."""
+    return tuple(map(unscale, zs, [s**n for n in elements]))
+
+
 # ---------------------------------------------------------------------------
 # ring operations, computed over the torsion-free lift S of the ring
 
 
 def _ghostwise(op: str, *vectors: WittVector) -> WittVector:
-    """Apply the ring operation op of the lift S to the ghosts, level by level."""
+    """Apply the ring operation op of the lift S to the ghosts, level by level.
+
+    Over a ring of fractions of S it computes on [D]a (and [D]b) over S, which
+    gives [D](a o b), or [D^2](a * b) for a product.
+    """
     E, ring = vectors[0].index_set, vectors[0].ring
+    if ring.clear_denominators is not None:
+        S, D, lists, unscale = _cleared(ring, E.elements, [v.coords for v in vectors])
+        z = _ghostwise(op, *(WittVector(E, S, xs) for xs in lists)).coords
+        return WittVector(E, ring, _divided(unscale, z, E.elements, D * D if op == "mul" else D))
     plan = _plan(E)
     S, reduce = ring.lift()
     w = list(map(getattr(S, op), *(_ghost(plan, S, v.coords) for v in vectors)))
@@ -284,6 +325,9 @@ def witt_from_int(n: int, E: IndexSet, ring: Ring) -> WittVector:
 def ghost_raw(a: WittVector) -> dict:
     """g_n(a) = sum_{d|n} d * a_d^{n/d} as raw ring values."""
     E = a.index_set
+    if a.ring.clear_denominators is not None:
+        S, D, (xs,), unscale = _cleared(a.ring, E.elements, [a.coords])
+        return dict(zip(E.elements, _divided(unscale, _ghost(_plan(E), S, xs), E.elements, D)))
     return dict(zip(E.elements, _ghost(_plan(E), a.ring, a.coords)))
 
 
@@ -315,6 +359,8 @@ def unghost(w: dict, E: IndexSet, ring: Ring) -> WittVector:
 
     Requires every n in E invertible in the ring, or the integers together
     with a passing Dwork certificate (in which case every division is exact).
+    Over a ring of fractions it unghosts the integral ghost vector of [D]x,
+    D the common denominator times rad(lcm E).
     """
     raw = [ring.raw(w[n]) for n in E]
     if ring == INTEGERS:
@@ -325,7 +371,11 @@ def unghost(w: dict, E: IndexSet, ring: Ring) -> WittVector:
         for n in E.elements[1:]:
             if ring.int_unit_inverse(n) is None:
                 raise WittError(f"{n} is not invertible in {ring.descriptor()}")
-    return WittVector(E, ring, tuple(_unghost(_plan(E), ring, raw)))
+    plan = _plan(E)
+    if ring.clear_denominators is not None:
+        S, D, (ys,), unscale = _cleared(ring, E.elements, [raw], plan.radical)
+        return WittVector(E, ring, _divided(unscale, _unghost(plan, S, ys), E.elements, D))
+    return WittVector(E, ring, tuple(_unghost(plan, ring, raw)))
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +383,19 @@ def unghost(w: dict, E: IndexSet, ring: Ring) -> WittVector:
 
 
 def frobenius(n: int, a: WittVector) -> WittVector:
-    """F_n : W_E -> W_{E|n}, characterized by g_d(F_n a) = g_{nd}(a)."""
+    """F_n : W_E -> W_{E|n}, characterized by g_d(F_n a) = g_{nd}(a).
+
+    F_n[D] = [D^n], so over a ring of fractions F_n([D]a) = [D^n] F_n(a).
+    """
     E, ring = a.index_set, a.ring
     if n not in E:
         raise WittError(f"{n} is not in the index set {E}")
     plan = _plan(E)
     target, target_plan, positions = plan.restricted(E, n)
+    if ring.clear_denominators is not None:
+        S, D, (xs,), unscale = _cleared(ring, E.elements, [a.coords])
+        z = frobenius(n, WittVector(E, S, xs)).coords
+        return WittVector(target, ring, _divided(unscale, z, target.elements, D**n))
     S, reduce = ring.lift()
     g = _ghost(plan, S, a.coords)
     coords = _unghost(target_plan, S, [g[i] for i in positions])
