@@ -1,9 +1,11 @@
 """Command-line front end.
 
-JSON goes to standard output (sorted keys, so identical invocations give
-byte-identical output); `--pretty` indents it.  Exit codes: 0 on success,
-1 when a predicate is false or a verification suite fails, 2 on usage errors
-and on every library error (a WittforgeError), each reported as one
+Each subcommand's handler computes a JSON object and an exit code; `main`
+alone writes the object.  JSON goes to standard output (sorted keys, so
+identical invocations give byte-identical output), or to the file named by
+`--out`; `--pretty` indents it.  Exit codes: 0 on success, 1 when a
+predicate is false or a verification suite fails, 2 on usage errors and on
+every library error (a WittforgeError), each reported as one
 `error: <Class>: <message>` line on stderr.
 """
 
@@ -13,7 +15,14 @@ import argparse
 import json
 import sys
 
-from .cone import QuasiIdeal, cone_hom_set, cone_pi0, quasi_ideal_check
+from .cone import (
+    FreeModule,
+    QuasiIdeal,
+    cone_hom_set,
+    cone_pi0,
+    quasi_ideal_check,
+    quasi_ideal_from_json,
+)
 from .derham import MonomialAlgebra, hodge_cohomology
 from .filtration import (
     Subspace,
@@ -23,7 +32,7 @@ from .filtration import (
     shift_filtration,
     step_filtration,
 )
-from .indexset import IndexSet, index_set_make
+from .indexset import index_set_make
 from .numutil import WittforgeError
 from .prismatic import (
     AffinePresentation,
@@ -48,17 +57,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _emit(obj, args) -> str:
+def _emit(obj, args) -> None:
+    """Write a command's JSON to stdout or to --out: the one writer of output."""
     if args.pretty:
         text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     else:
         text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return text
+    except OSError as e:
+        raise UsageError(f"cannot write --out {args.out!r}: {e.strerror}") from None
 
 
 def _budget(text):
@@ -70,11 +82,6 @@ def _budget(text):
     if value is None or value < 0:
         raise argparse.ArgumentTypeError(f"a budget is a non-negative integer, not {text!r}")
     return value
-
-
-def _common(sub):
-    sub.add_argument("--pretty", action="store_true", help="indent the JSON output")
-    sub.add_argument("--out", default=None, help="write the JSON to a file")
 
 
 def _ring_and_set(args):
@@ -91,14 +98,10 @@ def _vector(args, attr, ring, E):
     return make_witt(E, ring, parts)
 
 
-def _coords_json(v):
-    return {str(n): v.ring.el_to_str(c) for n, c in zip(v.index_set, v.coords)}
-
-
 def _local_context(args, ring, E):
-    if getattr(args, "rational", False):
+    if args.rational:
         return LocalContext.rational(ring, E)
-    if getattr(args, "p", None) is None:
+    if args.p is None:
         raise UsageError("a local context needs --p PRIME or --rational")
     return LocalContext.p_local(args.p, ring, E)
 
@@ -111,42 +114,30 @@ def cmd_witt(args):
     else:
         b = _vector(args, "b", ring, E)
         out = {"add": witt_add, "mul": witt_mul, "sub": witt_sub}[args.op](a, b)
-    _emit({"coords": _coords_json(out)}, args)
-    return 0
+    return {"coords": out.to_json()["coords"]}, 0
 
 
 def cmd_ghost(args):
     ring, E = _ring_and_set(args)
-    a = _vector(args, "a", ring, E)
-    g = ghost(a)
-    _emit({"ghost": {str(n): repr(g[n]) for n in E}}, args)
-    return 0
+    g = ghost(_vector(args, "a", ring, E))
+    return {"ghost": {str(n): repr(g[n]) for n in E}}, 0
 
 
 def cmd_frobenius(args):
     ring, E = _ring_and_set(args)
-    a = _vector(args, "a", ring, E)
-    out = frobenius(args.n, a)
-    _emit(
-        {"index_set": list(out.index_set.elements), "coords": _coords_json(out)}, args
-    )
-    return 0
+    out = frobenius(args.n, _vector(args, "a", ring, E))
+    return {"index_set": list(out.index_set.elements), "coords": out.to_json()["coords"]}, 0
 
 
 def cmd_verschiebung(args):
     ring, E = _ring_and_set(args)
-    source = E.restrict(args.n)
-    a = _vector(args, "a", ring, source)
-    out = verschiebung(args.n, a, E)
-    _emit({"coords": _coords_json(out)}, args)
-    return 0
+    a = _vector(args, "a", ring, E.restrict(args.n))
+    return {"coords": verschiebung(args.n, a, E).to_json()["coords"]}, 0
 
 
 def cmd_teich(args):
     ring, E = _ring_and_set(args)
-    out = teichmuller(args.r, E, ring)
-    _emit({"coords": _coords_json(out)}, args)
-    return 0
+    return {"coords": teichmuller(args.r, E, ring).to_json()["coords"]}, 0
 
 
 def cmd_decompose(args):
@@ -154,36 +145,29 @@ def cmd_decompose(args):
     a = _vector(args, "a", ring, E)
     ctx = _local_context(args, ring, E)
     d = local_decompose(a, ctx)
-    factors = {str(n): _coords_json(d.factor(n)) for n in sorted(d.factors)}
-    _emit({"p": ctx.p, "factors": factors}, args)
-    return 0
+    factors = {str(n): d.factor(n).to_json()["coords"] for n in sorted(d.factors)}
+    return {"p": ctx.p, "factors": factors}, 0
 
 
 def cmd_hodge_tate(args):
     ring, E = _ring_and_set(args)
     v = _vector(args, "v", ring, E)
-    ctx = _local_context(args, ring, E)
-    verdict = is_hodge_tate(v, ctx)
-    _emit({"hodge_tate": verdict}, args)
-    return 0 if verdict else 1
+    verdict = is_hodge_tate(v, _local_context(args, ring, E))
+    return {"hodge_tate": verdict}, 0 if verdict else 1
 
 
 def cmd_distinguished(args):
     ring, E = _ring_and_set(args)
     xi = _vector(args, "xi", ring, E)
-    ctx = _local_context(args, ring, E)
-    verdict, witness = is_distinguished(xi, ctx)
+    verdict, witness = is_distinguished(xi, _local_context(args, ring, E))
     out = {"distinguished": verdict}
     if verdict:
         x, v = witness
-        out["witness"] = {"x": repr(x), "v": _coords_json(v)}
-    _emit(out, args)
-    return 0 if verdict else 1
+        out["witness"] = {"x": repr(x), "v": v.to_json()["coords"]}
+    return out, 0 if verdict else 1
 
 
 def cmd_cone(args):
-    from .cone import FreeModule, quasi_ideal_from_json
-
     if args.json:
         try:
             obj = json.loads(args.json)
@@ -201,20 +185,19 @@ def cmd_cone(args):
     out = {"quasi_ideal_law": ok}
     if not ok:
         out["witness"] = [[ring.el_to_str(c) for c in w] for w in witness]
-    if ok:
-        try:
-            p0 = cone_pi0(q)
-            if ring.size() is None:
-                out["pi0"] = {"ring": p0.descriptor()}
-            else:
-                out["pi0"] = {"classes": p0.size(), "image_size": ring.size() // p0.size()}
-        except UnsupportedRing as e:
-            out["pi0"] = {"unsupported": str(e)}
-        if args.hom:
-            hom = cone_hom_set(q, *args.hom)
-            out["hom"] = [q.module.el_to_str(h) for h in hom]
-    _emit(out, args)
-    return 0 if ok else 1
+        return out, 1
+    try:
+        p0 = cone_pi0(q)
+        if ring.size() is None:
+            out["pi0"] = {"ring": p0.descriptor()}
+        else:
+            out["pi0"] = {"classes": p0.size(), "image_size": ring.size() // p0.size()}
+    except UnsupportedRing as e:
+        out["pi0"] = {"unsupported": str(e)}
+    if args.hom:
+        hom = cone_hom_set(q, *args.hom)
+        out["hom"] = [q.module.el_to_str(h) for h in hom]
+    return out, 0
 
 
 def cmd_rees(args):
@@ -245,14 +228,11 @@ def cmd_rees(args):
     G = rees_of_filtered(M)
     out = G.to_json()
     out["round_trip"] = filtered_of_rees(G) == M
-    _emit(out, args)
-    return 0
+    return out, 0
 
 
 def cmd_derham(args):
-    H = hodge_cohomology(MonomialAlgebra(args.torus, args.affine))
-    _emit(H.to_json(), args)
-    return 0
+    return hodge_cohomology(MonomialAlgebra(args.torus, args.affine)).to_json(), 0
 
 
 def cmd_prismatic(args):
@@ -264,23 +244,16 @@ def cmd_prismatic(args):
     B = AffinePresentation(gens, rels)
     if args.witt_points:
         pts = witt_points(B, E, ring, cap=args.budget_enum)
-        out = {
-            "count": len(pts),
-            "points": [[_coords_json(w) for w in p] for p in pts],
-        }
-        _emit(out, args)
-        return 0
+        return {"count": len(pts), "points": [[w.to_json()["coords"] for w in p] for p in pts]}, 0
     gpd = prismatic_points_affine(B, ctx, cap=args.budget_enum)
     out = gpd.to_json()
     out["axioms"] = gpd.check_axioms()
-    _emit(out, args)
-    return 0 if out["axioms"] else 1
+    return out, 0 if out["axioms"] else 1
 
 
 def cmd_verify(args):
     if args.list:
-        _emit({"coverage": coverage_map(), "suites": sorted(SUITES)}, args)
-        return 0
+        return {"coverage": coverage_map(), "suites": sorted(SUITES)}, 0
     budget = Budget(enum_cap=args.budget_enum, term_cap=args.budget_terms)
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     reports = [suite_run(name, args.seed, budget) for name in names]
@@ -290,8 +263,7 @@ def cmd_verify(args):
         "suites": [r.to_json(with_timing=args.timings) for r in reports],
         "passed": ok,
     }
-    _emit(out, args)
-    return 0 if ok else 1
+    return out, 0 if ok else 1
 
 
 def build_parser():
@@ -302,108 +274,89 @@ def build_parser():
     )
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
+    def command(name, fn, help):
+        sp = subs.add_parser(name, help=help)
+        sp.set_defaults(fn=fn)
+        return sp
+
     def witt_args(sp, vectors=("a",)):
         sp.add_argument("--ring", required=True, help="ring descriptor")
         sp.add_argument("--index-set", required=True, help="div:N | ptyp:p:len | set:a,b,c")
         for v in vectors:
             sp.add_argument(f"--{v}", help=f"coordinates of {v}, comma separated")
 
-    sp = subs.add_parser("witt", help="Witt vector arithmetic")
-    sp.add_argument("op", choices=["add", "mul", "neg", "sub"])
-    witt_args(sp, ("a", "b"))
-    _common(sp)
-    sp.set_defaults(fn=cmd_witt)
-
-    sp = subs.add_parser("ghost", help="ghost components")
-    witt_args(sp)
-    _common(sp)
-    sp.set_defaults(fn=cmd_ghost)
-
-    sp = subs.add_parser("frobenius", help="Frobenius F_n")
-    sp.add_argument("--n", type=int, required=True)
-    witt_args(sp)
-    _common(sp)
-    sp.set_defaults(fn=cmd_frobenius)
-
-    sp = subs.add_parser("verschiebung", help="Verschiebung V_n into W_E")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--ring", required=True)
-    sp.add_argument("--index-set", required=True, help="the target index set E")
-    sp.add_argument("--a", required=True, help="coordinates over E|n")
-    _common(sp)
-    sp.set_defaults(fn=cmd_verschiebung)
-
-    sp = subs.add_parser("teich", help="Teichmuller lift")
-    sp.add_argument("--ring", required=True)
-    sp.add_argument("--index-set", required=True)
-    sp.add_argument("--r", required=True)
-    _common(sp)
-    sp.set_defaults(fn=cmd_teich)
-
     def context_args(sp):
         group = sp.add_mutually_exclusive_group()
         group.add_argument("--p", type=int, default=None, help="the non-inverted prime")
         group.add_argument("--rational", action="store_true", help="all primes invertible")
 
-    sp = subs.add_parser("decompose", help="local decomposition into p-typical factors")
+    sp = command("witt", cmd_witt, "Witt vector arithmetic")
+    sp.add_argument("op", choices=["add", "mul", "neg", "sub"])
+    witt_args(sp, ("a", "b"))
+
+    witt_args(command("ghost", cmd_ghost, "ghost components"))
+
+    sp = command("frobenius", cmd_frobenius, "Frobenius F_n")
+    sp.add_argument("--n", type=int, required=True)
     witt_args(sp)
-    context_args(sp)
-    _common(sp)
-    sp.set_defaults(fn=cmd_decompose)
 
-    sp = subs.add_parser("hodge-tate", help="Hodge-Tate predicate")
-    witt_args(sp, ("v",))
-    context_args(sp)
-    _common(sp)
-    sp.set_defaults(fn=cmd_hodge_tate)
+    sp = command("verschiebung", cmd_verschiebung, "Verschiebung V_n into W_E")
+    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--ring", required=True)
+    sp.add_argument("--index-set", required=True, help="the target index set E")
+    sp.add_argument("--a", required=True, help="coordinates over E|n")
 
-    sp = subs.add_parser("distinguished", help="distinguished element predicate")
-    witt_args(sp, ("xi",))
-    context_args(sp)
-    _common(sp)
-    sp.set_defaults(fn=cmd_distinguished)
+    sp = command("teich", cmd_teich, "Teichmuller lift")
+    sp.add_argument("--ring", required=True)
+    sp.add_argument("--index-set", required=True)
+    sp.add_argument("--r", required=True)
 
-    sp = subs.add_parser("cone", help="quasi-ideal check, pi0 and hom sets")
+    for name, fn, vector, help in (
+        ("decompose", cmd_decompose, "a", "local decomposition into p-typical factors"),
+        ("hodge-tate", cmd_hodge_tate, "v", "Hodge-Tate predicate"),
+        ("distinguished", cmd_distinguished, "xi", "distinguished element predicate"),
+    ):
+        sp = command(name, fn, help)
+        witt_args(sp, (vector,))
+        context_args(sp)
+
+    sp = command("cone", cmd_cone, "quasi-ideal check, pi0 and hom sets")
     sp.add_argument("--base", default=None, help="base ring descriptor")
     sp.add_argument("--d", default=None, help="d-values of the free generators")
     sp.add_argument("--json", default=None, help="quasi-ideal as a JSON object")
     sp.add_argument("--hom", nargs=2, metavar=("R1", "R2"), default=None)
-    _common(sp)
-    sp.set_defaults(fn=cmd_cone)
 
-    sp = subs.add_parser("rees", help="Rees module of a step filtration")
+    sp = command("rees", cmd_rees, "Rees module of a step filtration")
     sp.add_argument("--line", type=int, default=None, help="the filtered line Q{n}")
     sp.add_argument("--step", default=None, help="decreasing dimensions d0,d1,...")
     sp.add_argument("--start", type=int, default=0)
     sp.add_argument("--shift", type=int, default=0)
-    _common(sp)
-    sp.set_defaults(fn=cmd_rees)
 
-    sp = subs.add_parser("derham", help="Hodge-filtered de Rham cohomology")
+    sp = command("derham", cmd_derham, "Hodge-filtered de Rham cohomology")
     sp.add_argument("--torus", type=int, required=True)
     sp.add_argument("--affine", type=int, required=True)
-    _common(sp)
-    sp.set_defaults(fn=cmd_derham)
 
-    sp = subs.add_parser("prismatic", help="prismatic point groupoids / J(X) points")
+    sp = command("prismatic", cmd_prismatic, "prismatic point groupoids / J(X) points")
     witt_args(sp, ("xi",))
     context_args(sp)
     sp.add_argument("--gens", required=True, help="generator names, comma separated")
     sp.add_argument("--relations", default="", help="relations, semicolon separated")
     sp.add_argument("--witt-points", action="store_true", help="points in W instead")
     sp.add_argument("--budget-enum", type=_budget, default=ENUM_CAP)
-    _common(sp)
-    sp.set_defaults(fn=cmd_prismatic)
 
-    sp = subs.add_parser("verify", help="run the verification suites")
+    sp = command("verify", cmd_verify, "run the verification suites")
     sp.add_argument("--suite", default="all")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--list", action="store_true", help="print the coverage map")
     sp.add_argument("--budget-enum", type=_budget, default=Budget.enum_cap)
     sp.add_argument("--budget-terms", type=_budget, default=Budget.term_cap)
     sp.add_argument("--timings", action="store_true", help="include wall times")
-    _common(sp)
-    sp.set_defaults(fn=cmd_verify)
+
+    # every subcommand's output goes through _emit, so every one takes these;
+    # added last, not by a parent parser, which would put them first in usage
+    for sp in subs.choices.values():
+        sp.add_argument("--pretty", action="store_true", help="indent the JSON output")
+        sp.add_argument("--out", default=None, help="write the JSON to a file")
 
     return parser
 
@@ -411,7 +364,9 @@ def build_parser():
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        obj, code = args.fn(args)
+        _emit(obj, args)
+        return code
     except WittforgeError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import product as iter_product
 
 from .numutil import WittforgeError
-from .rings import ENUM_CAP, Ring, UnsupportedRing
+from .rings import ENUM_CAP, Ring, UnsupportedRing, make_ring
 
 
 class ConeError(WittforgeError):
@@ -168,8 +168,6 @@ def quasi_ideal_to_json(q: QuasiIdeal) -> dict:
 
 
 def quasi_ideal_from_json(obj) -> QuasiIdeal:
-    from .rings import make_ring
-
     if not (
         isinstance(obj, dict)
         and isinstance(obj.get("base"), str)

@@ -41,7 +41,7 @@ from .numutil import WittforgeError
 from .rings import ENUM_CAP, INTEGERS, PolyRing, Ring
 from .sparsepoly import IntPoly
 from .structure import EnumerationBudget, LocalContext, is_distinguished
-from .witt import WittRing, WittVector, witt_space, witt_space_size
+from .witt import WittRing, WittVector, witt_mul, witt_space, witt_space_size, witt_unit_inverse
 
 
 class PrismaticError(WittforgeError):
@@ -90,8 +90,6 @@ class PrismaticContext:
         return QuasiIdeal.rank_one(self.witt_ring, self.xi.coords)
 
     def scaled(self, unit: WittVector) -> "PrismaticContext":
-        from .witt import witt_mul, witt_unit_inverse
-
         if witt_unit_inverse(unit) is None:
             raise PrismaticError("scaling element is not a unit")
         return PrismaticContext(

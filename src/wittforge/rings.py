@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property
+from itertools import product as iter_product
 from math import gcd, lcm
 from operator import add as _add
 
@@ -909,15 +910,13 @@ class QuotientRing(Ring):
         return s**self.degree
 
     def elements(self):
-        from itertools import product
-
         base = self.poly.base
         if base.size() is None:
             raise UnsupportedRing("infinite quotient ring")
         if self.degree == 0:
             yield ()
             return
-        for coeffs in product(list(base.elements()), repeat=self.degree):
+        for coeffs in iter_product(list(base.elements()), repeat=self.degree):
             yield self.canonicalize(tuple(((i,), c) for i, c in enumerate(coeffs)))
 
     def random(self, rng):

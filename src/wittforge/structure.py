@@ -11,6 +11,7 @@ carrying the twisted Verschiebung cannot have a global generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product as iter_product
 
 from .indexset import IndexSet
 from .numutil import factorize, is_prime
@@ -20,7 +21,6 @@ from .witt import (
     WittVector,
     dwork_check,
     frobenius,
-    ghost_raw,
     restrict,
     teichmuller,
     verschiebung,
@@ -69,9 +69,6 @@ class LocalContext:
     @classmethod
     def rational(cls, ring: Ring, E: IndexSet) -> "LocalContext":
         return cls(None, ring, E)
-
-    def is_rational(self):
-        return self.p is None
 
     def e_prime_to(self) -> IndexSet:
         return self.index_set if self.p is None else self.index_set.prime_to(self.p)
@@ -246,18 +243,13 @@ def _shift_down(v: WittVector, p: int) -> WittVector:
 def is_hodge_tate(v: WittVector, ctx: LocalContext) -> bool:
     """Kernel-exactness predicate, decided through the local description.
 
-    p-local: in the decomposition the factor at 1 must be V_p of a unit and
-    every other factor must be a unit.  Rational: first ghost component zero
-    and all higher ghost components units.  When the p-typical direction is
-    a single coordinate the factor-1 condition degenerates to being zero.
+    In the decomposition the factor at 1 must be V_p of a unit and every
+    other factor must be a unit.  When the p-typical direction is a single
+    coordinate the factor-1 condition degenerates to being zero.  That is
+    always so in the rational case, where the factor at n is the one
+    coordinate g_n(v): first ghost component zero and all higher ghost
+    components units.
     """
-    if ctx.is_rational():
-        g = ghost_raw(v)
-        if g[1] != v.ring.zero():
-            return False
-        return all(
-            v.ring.unit_inverse(g[n]) is not None for n in v.index_set if n != 1
-        )
     d = local_decompose(v, ctx)
     Ep = ctx.e_typical()
     f1 = d.factor(1)
@@ -317,9 +309,7 @@ def v_nonfree_obstruction(E: IndexSet) -> dict:
         slots.append((n, list(fac)[0] if len(fac) == 1 else None))
     if 2 ** len(slots) > ENUM_CAP:
         raise EnumerationBudget(f"{2 ** len(slots)} sign patterns exceed the bound")
-    from itertools import product as iproduct
-
-    for signs in iproduct((1, -1), repeat=len(slots)):
+    for signs in iter_product((1, -1), repeat=len(slots)):
         w = {1: 0}
         for (n, p), s in zip(slots, signs):
             w[n] = s * (p if p is not None else 1)

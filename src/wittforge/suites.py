@@ -729,7 +729,7 @@ def suite_cone(rep, rng, budget):
 # rees_filtration
 
 
-def _random_step_filtration(rng, ambient=3, steps=3, start=None):
+def _random_step_filtration(rng, ambient=3, steps=3):
     spaces = [filt_mod.Subspace.full(ambient)]
     current = filt_mod.Subspace.full(ambient)
     for _ in range(steps):
@@ -738,8 +738,7 @@ def _random_step_filtration(rng, ambient=3, steps=3, start=None):
         rows = list(current.basis)[: max(0, current.dim() - rng.randint(0, 2))]
         current = filt_mod.Subspace.span(ambient, rows)
         spaces.append(current)
-    start = rng.randint(-2, 2) if start is None else start
-    return filt_mod.step_filtration(spaces, start)
+    return filt_mod.step_filtration(spaces, rng.randint(-2, 2))
 
 
 def suite_rees(rep, rng, budget):

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import tempfile
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -264,8 +265,6 @@ def generate_universal_polynomials(
     Oversized levels get the congruence certificate instead of an expansion;
     both paths verify exactness, neither ever rounds.
     """
-    import random
-
     rng = random.Random(20210 + len(E))
     names = _var_names(E, op)
     levels = _family_levels(E, op)

@@ -47,6 +47,7 @@ from .rings import (
     RingMismatch,
     UnsupportedRing,
     _same,
+    make_ring,
 )
 
 
@@ -133,8 +134,6 @@ def make_witt(E: IndexSet, ring: Ring, values) -> WittVector:
 
 
 def witt_from_json(obj, ring=None) -> WittVector:
-    from .rings import make_ring
-
     ring = ring or make_ring(obj["ring"])
     E = IndexSet.explicit(obj["index_set"])
     return make_witt(E, ring, [obj["coords"][str(n)] for n in E])

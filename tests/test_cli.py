@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -473,3 +474,65 @@ def test_cone_witness_output(capsys):
     )
     assert code == 1
     assert json.loads(out) == {"quasi_ideal_law": False, "witness": [["1", "0"], ["0", "1"]]}
+
+
+# the README's invocation of each subcommand, one apiece
+README_INVOCATIONS = [
+    ["witt", "add", "--ring", "integers", "--index-set", "div:2", "--a", "1,0", "--b", "1,0"],
+    ["ghost", "--ring", "integers", "--index-set", "div:6", "--a", "1,1,1,1"],
+    ["frobenius", "--n", "2", "--ring", "integers", "--index-set", "ptyp:2:2", "--a", "0,1,0"],
+    ["verschiebung", "--n", "2", "--ring", "integers", "--index-set", "div:2", "--a", "5"],
+    ["teich", "--ring", "poly(rationals; x; inv x)", "--index-set", "div:2", "--r", "1*x"],
+    ["decompose", "--ring", "zmod:9", "--index-set", "div:6", "--a", "5,0,0,0", "--p", "3"],
+    ["hodge-tate", "--ring", "zmod:4", "--index-set", "div:2", "--v", "0,3", "--p", "2"],
+    ["distinguished", "--ring", "zmod:4", "--index-set", "div:2", "--xi", "2,3", "--p", "2"],
+    ["cone", "--base", "integers", "--d", "2", "--hom", "0", "4"],
+    ["rees", "--line", "1"],
+    ["derham", "--torus", "1", "--affine", "0"],
+    ["prismatic", "--ring", "zmod:4", "--index-set", "set:1", "--xi", "2", "--p", "2",
+     "--gens", "x", "--relations", "1*x^2"],
+    ["verify", "--suite", "hodge-tate-equivalences", "--seed", "7"],
+]
+
+
+def test_the_invocations_cover_every_subcommand():
+    from wittforge.cli import build_parser
+
+    subs = next(a for a in build_parser()._actions if a.dest == "command")
+    assert sorted(argv[0] for argv in README_INVOCATIONS) == sorted(subs.choices)
+
+
+@pytest.mark.parametrize("argv", README_INVOCATIONS, ids=lambda argv: argv[0])
+def test_pretty_and_out_write_the_same_object(argv, tmp_path, capsys):
+    code, compact, err = run_cli(argv, capsys)
+    assert code == 0 and err == "" and compact.endswith("\n") and "\n" not in compact[:-1]
+    obj = json.loads(compact)
+    assert compact == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+    pretty_code, pretty, _ = run_cli(argv + ["--pretty"], capsys)
+    assert pretty_code == code
+    assert pretty == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+    target = tmp_path / "out.json"
+    out_code, out, err = run_cli(argv + ["--out", str(target)], capsys)
+    assert out_code == code and out == "" and err == ""
+    assert target.read_text() == compact
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ghost", "--ring", "integers", "--index-set", "div:2", "--a", "1,0"],
+        ["verify", "--suite", "witt-unit"],
+    ],
+    ids=["ghost", "verify"],
+)
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_an_unwritable_out_path_is_a_usage_error(argv, where, tmp_path, capsys):
+    target = tmp_path / "nonexistent" / "x.json" if where == "missing-directory" else tmp_path
+    code, out, err = run_cli(argv + ["--out", str(target)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: UsageError: cannot write --out {str(target)!r}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    errno_ = errno.ENOENT if where == "missing-directory" else errno.EISDIR
+    assert err.endswith(os.strerror(errno_) + "\n")

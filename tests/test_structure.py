@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wittforge.indexset import IndexSet
+from wittforge.indexset import IndexSet, index_set_make
 from wittforge.rings import RATIONALS, make_ring
 from wittforge.structure import (
     ContextError,
@@ -139,6 +139,84 @@ def test_hodge_tate_examples():
     assert is_hodge_tate(unghost({1: 0, 2: 5}, E2, RATIONALS), ctxq)
     assert not is_hodge_tate(unghost({1: 0, 2: 0}, E2, RATIONALS), ctxq)
 
+
+
+def ghost_criterion(v):
+    """The rational Hodge-Tate criterion, read off the ghost components:
+    g_1(v) = 0 and every other g_n(v) a unit."""
+    g = ghost_raw(v)
+    return g[1] == v.ring.zero() and all(
+        v.ring.unit_inverse(g[n]) is not None for n in v.index_set if n != 1
+    )
+
+
+@pytest.mark.parametrize(
+    "ring, spec",
+    [("zmod:9", "div:2"), ("zmod:9", "set:1,2,4"), ("zmod:9", "div:4"), ("zmod:25", "div:3")],
+)
+def test_rational_hodge_tate_is_the_ghost_criterion_exhaustively(ring, spec):
+    ring, E = make_ring(ring), index_set_make(spec)
+    ctx = LocalContext.rational(ring, E)
+    verdicts = [(is_hodge_tate(v, ctx), ghost_criterion(v)) for v in witt_space(E, ring)]
+    assert all(a == b for a, b in verdicts)
+    assert {a for a, _ in verdicts} == {True, False}
+
+
+def _fractions(st):
+    return st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 6))
+
+
+def _coordinates(st, descriptor):
+    """Strings of ring elements; a linear term is dropped half the time, so
+    constant ghost components, the units of a polynomial ring, come up."""
+    if descriptor.startswith("zmod:"):
+        return st.integers(0, int(descriptor[5:]) - 1).map(str)
+    if descriptor == "rationals":
+        return _fractions(st)
+    var = "x" if descriptor.startswith("poly") else "t"
+    scalar = st.integers(0, 34).map(str) if "zmod:35" in descriptor else _fractions(st)
+    linear = st.one_of(st.just("0"), scalar)
+    return st.builds(f"{{}}*{var}+{{}}".format, linear, scalar)
+
+
+POLY_RINGS = ["poly(rationals; x)", "quot(poly(rationals; t); 1*t^2+1)", "quot(poly(zmod:35; t); 1*t^2)"]
+
+
+@pytest.mark.parametrize(
+    "ring, spec",
+    [("zmod:25", "div:6"), ("zmod:35", "div:6")]
+    + [("rationals", spec) for spec in ("div:6", "div:12", "ptyp:3:2")]
+    + [(ring, spec) for ring in POLY_RINGS for spec in ("div:2", "div:6", "ptyp:3:2")],
+)
+def test_rational_hodge_tate_is_the_ghost_criterion(ring, spec):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    descriptor, ring, E = ring, make_ring(ring), index_set_make(spec)
+    ctx = LocalContext.rational(ring, E)
+    coordinate = _coordinates(st, descriptor)
+    # the first coordinate is g_1: zero half the time, or the predicate is always false
+    first = st.one_of(st.just("0"), coordinate)
+    vectors = st.tuples(first, st.lists(coordinate, min_size=len(E) - 1, max_size=len(E) - 1))
+    seen = set()
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(vectors)
+    def check(parts):
+        v = make_witt(E, ring, [parts[0], *parts[1]])
+        verdict = is_hodge_tate(v, ctx)
+        assert verdict == ghost_criterion(v), parts
+        seen.add(verdict)
+
+    check()
+    assert seen == {True, False}
+
+
+def test_a_rational_context_refuses_another_vector():
+    ctx = LocalContext.rational(RATIONALS, E6)
+    with pytest.raises(ContextError):
+        is_hodge_tate(unghost({1: 0, 2: 5}, E2, RATIONALS), ctx)
+    with pytest.raises(ContextError):
+        is_hodge_tate(make_witt(E6, Z9, [0, 1, 1, 1]), ctx)
 
 def test_distinguished_examples():
     ctx = LocalContext.p_local(2, Z4, E2)
