@@ -42,7 +42,7 @@ from .prismatic import (
 )
 from .rings import ENUM_CAP, UnsupportedRing, make_ring
 from .structure import LocalContext, is_distinguished, is_hodge_tate, local_decompose
-from .suites import SUITES, Budget, coverage_map, suite_run
+from .suites import SUITES, coverage_map, suite_run
 from .witt import frobenius, ghost, make_witt, teichmuller, verschiebung, witt_add, witt_mul, witt_neg, witt_sub
 
 
@@ -74,7 +74,7 @@ def _emit(obj, args) -> None:
 
 
 def _budget(text):
-    """A --budget-* value: a non-negative integer."""
+    """A --budget-enum value: a non-negative integer."""
     try:
         value = int(text)
     except ValueError:
@@ -254,9 +254,8 @@ def cmd_prismatic(args):
 def cmd_verify(args):
     if args.list:
         return {"coverage": coverage_map(), "suites": sorted(SUITES)}, 0
-    budget = Budget(enum_cap=args.budget_enum, term_cap=args.budget_terms)
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    reports = [suite_run(name, args.seed, budget) for name in names]
+    reports = [suite_run(name, args.seed) for name in names]
     ok = all(r.ok() for r in reports)
     out = {
         "seed": args.seed,
@@ -348,8 +347,6 @@ def build_parser():
     sp.add_argument("--suite", default="all")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--list", action="store_true", help="print the coverage map")
-    sp.add_argument("--budget-enum", type=_budget, default=Budget.enum_cap)
-    sp.add_argument("--budget-terms", type=_budget, default=Budget.term_cap)
     sp.add_argument("--timings", action="store_true", help="include wall times")
 
     # every subcommand's output goes through _emit, so every one takes these;

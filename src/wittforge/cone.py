@@ -28,7 +28,7 @@ class ConeError(WittforgeError):
 class Module:
     """Module interface for quasi-ideal sources; values are raw.
 
-    Every module defines zero, add, neg, scalar, generators, d (the
+    Every module defines zero, add, scalar, generators, d (the
     structure map, given the images of the generators), solve (d^-1 of a
     target, for a module too large to list) and el_to_str (the JSON form).
     """
@@ -54,9 +54,6 @@ class FreeModule(Module):
 
     def add(self, x, y):
         return tuple(self.ring.add(a, b) for a, b in zip(x, y))
-
-    def neg(self, x):
-        return tuple(self.ring.neg(a) for a in x)
 
     def scalar(self, r, x):
         return tuple(self.ring.mul(r, a) for a in x)
@@ -107,9 +104,6 @@ class IdealModule(Module):
     def add(self, x, y):
         return self.ring.add(x, y)
 
-    def neg(self, x):
-        return self.ring.neg(x)
-
     def scalar(self, r, x):
         return self.ring.mul(r, x)
 
@@ -156,17 +150,6 @@ class QuasiIdeal:
         return cls(ring, mod, mod.generators())
 
 
-def quasi_ideal_to_json(q: QuasiIdeal) -> dict:
-    if not isinstance(q.module, FreeModule):
-        raise UnsupportedRing("only free modules serialize")
-    return {
-        "base": q.ring.descriptor(),
-        "generators": q.module.rank,
-        "relations": [],
-        "d": [q.ring.el_to_str(v) for v in q.d_gens],
-    }
-
-
 def quasi_ideal_from_json(obj) -> QuasiIdeal:
     if not (
         isinstance(obj, dict)
@@ -207,16 +190,6 @@ def cone_level_one(q: QuasiIdeal, n: int):
     return (q.ring.one(),) + tuple(q.module.zero() for _ in range(n - 1))
 
 
-def cone_level_add(q: QuasiIdeal, u, v):
-    return (q.ring.add(u[0], v[0]),) + tuple(
-        q.module.add(x, y) for x, y in zip(u[1:], v[1:])
-    )
-
-
-def cone_level_neg(q: QuasiIdeal, u):
-    return (q.ring.neg(u[0]),) + tuple(q.module.neg(x) for x in u[1:])
-
-
 def cone_level_mul(q: QuasiIdeal, u, v):
     r, s = u[0], v[0]
     out = [q.ring.mul(r, s)]
@@ -225,20 +198,6 @@ def cone_level_mul(q: QuasiIdeal, u, v):
         term = q.module.add(term, q.module.scalar(q.d(x), y))
         out.append(term)
     return tuple(out)
-
-
-def cone_level_arith(q: QuasiIdeal, n: int, op: str, u, v=None):
-    if len(u) != n or (v is not None and len(v) != n):
-        raise ConeError(f"level-{n} elements need {n} components")
-    if op == "add":
-        return cone_level_add(q, u, v)
-    if op == "mul":
-        return cone_level_mul(q, u, v)
-    if op == "neg":
-        return cone_level_neg(q, u)
-    if op == "sub":
-        return cone_level_add(q, u, cone_level_neg(q, v))
-    raise ConeError(f"unknown op {op!r}")
 
 
 # ---------------------------------------------------------------------------

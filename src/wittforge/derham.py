@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product as iter_product
 
-from .cone import QuasiIdeal, cone_pi0
 from .filtration import (
     FilteredModule,
     ReesModule,
@@ -219,12 +218,3 @@ def hodge_cohomology(A: MonomialAlgebra, torus_bound: int = 1, affine_bound: int
 def rees_package_degree(H: HodgeFilteredCohomology, j: int) -> ReesModule:
     return rees_of_filtered(H.filtered[j])
 
-
-# ---------------------------------------------------------------------------
-# points of the de Rham affine line: the cone of a trivialized line bundle map
-
-
-def gadr_points(ring, eta):
-    """Cone(eta: R*e -> R): quasi-ideal, pi0 = R/(eta), cone-level handle."""
-    q = QuasiIdeal.rank_one(ring, eta)
-    return {"quasi_ideal": q, "pi0": cone_pi0(q)}

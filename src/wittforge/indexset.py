@@ -24,7 +24,7 @@ class IndexSet:
     def __post_init__(self):
         if not all(isinstance(n, int) for n in self.elements):
             raise IndexSetError(f"index set members must be integers: {self.elements!r}")
-        elems = tuple(sorted(set(self.elements)))
+        elems = tuple(sorted({int(n) for n in self.elements}))  # a bool as its int
         object.__setattr__(self, "elements", elems)
         if not elems or elems[0] < 1:
             raise IndexSetError("index set needs positive integers")

@@ -250,7 +250,7 @@ class RingElement:
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("negative powers only via unit inverses")
+            raise RingError("negative powers only via unit inverses")
         return RingElement(self.ring, self.ring.pow(self.value, n))
 
     def __eq__(self, other):
@@ -927,9 +927,6 @@ class QuotientRing(Ring):
 
     def variable(self, name):
         return self.reduce(self.poly.variable(name))
-
-    def monomial(self, exps, coeff=None):
-        return self.reduce(self.poly.monomial(exps, coeff))
 
     def el_to_str(self, a):
         return self.poly.el_to_str(a)

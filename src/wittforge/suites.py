@@ -3,15 +3,15 @@
 Each suite runs one module's invariant list and records the cases run and
 any counterexamples found.  A suite is named once, by its key in SUITES:
 suite_run builds the report under that name and hands the suite the report,
-a generator seeded from (seed, name) and the budget.  Everything here is
-deterministic given (seed, budget).
+a generator seeded from (seed, name).  Everything here is deterministic
+given the seed.
 """
 
 from __future__ import annotations
 
 import time
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
@@ -32,7 +32,7 @@ from .rings import (
     make_ring,
 )
 from .sparsepoly import IntPoly
-from .universal import DEFAULT_TERM_CAP, _ghost_target, get_universal, integrality_report
+from .universal import _ghost_target, get_universal, integrality_report
 from .witt import (
     WittRing,
     dwork_check,
@@ -53,18 +53,6 @@ from .witt import (
     witt_unit_inverse,
     witt_zero,
 )
-
-
-@dataclass
-class Budget:
-    enum_cap: int = ENUM_CAP
-    term_cap: int = DEFAULT_TERM_CAP
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise WittforgeError(f"budget {f.name} must be a non-negative int, not {value!r}")
 
 
 @dataclass
@@ -100,7 +88,7 @@ def _rng(seed, name):
 # ring_core
 
 
-def suite_ring_axioms(rep, rng, budget):
+def suite_ring_axioms(rep, rng):
     rings = [
         INTEGERS,
         RATIONALS,
@@ -157,7 +145,7 @@ _AXIOM_RINGS = ("integers", "zmod:12", "zmod:4", "rationals")
 _AXIOM_SETS = ("div:6", "ptyp:2:3")
 
 
-def suite_witt_ring_axioms(rep, rng, budget):
+def suite_witt_ring_axioms(rep, rng):
     for rdesc in _AXIOM_RINGS:
         ring = make_ring(rdesc)
         for edesc in _AXIOM_SETS:
@@ -186,7 +174,7 @@ def suite_witt_ring_axioms(rep, rng, budget):
                 rep.cases += 1
 
 
-def suite_witt_operators(rep, rng, budget):
+def suite_witt_operators(rep, rng):
     ring = make_ring("zmod:12")
     E = IndexSet.divisors_of(6)
     for _ in range(100):
@@ -243,7 +231,7 @@ def suite_witt_operators(rep, rng, budget):
         rep.cases += 1
 
 
-def suite_witt_integrality(rep, rng, budget):
+def suite_witt_integrality(rep, rng):
     specs = [
         IndexSet.divisors_of(30),
         IndexSet.p_typical(2, 4),
@@ -251,7 +239,7 @@ def suite_witt_integrality(rep, rng, budget):
         IndexSet.p_typical(5, 4),
     ]
     try:
-        details = integrality_report(specs, term_cap=budget.term_cap)
+        details = integrality_report(specs)
     except InexactDivision as e:
         rep.fail("inexact-division", e)
         return
@@ -294,7 +282,7 @@ def suite_witt_integrality(rep, rng, budget):
                 rep.cases += 1
 
 
-def suite_witt_ghost_dwork(rep, rng, budget):
+def suite_witt_ghost_dwork(rep, rng):
     E = IndexSet.divisors_of(6)
     for _ in range(200):
         a = random_witt(E, RATIONALS, rng)
@@ -316,7 +304,7 @@ def suite_witt_ghost_dwork(rep, rng, budget):
     rep.cases += 1
 
 
-def suite_witt_functoriality(rep, rng, budget):
+def suite_witt_functoriality(rep, rng):
     z12, z4 = make_ring("zmod:12"), make_ring("zmod:4")
     maps = [
         (INTEGERS, z12, lambda v: v % 12),
@@ -372,7 +360,7 @@ def suite_witt_functoriality(rep, rng, budget):
 # witt_struct
 
 
-def suite_wf_annihilator(rep, rng, budget):
+def suite_wf_annihilator(rep, rng):
     E = IndexSet.divisors_of(2)
     for rdesc in ("zmod:2", "zmod:4"):
         ring = make_ring(rdesc)
@@ -394,7 +382,7 @@ def suite_wf_annihilator(rep, rng, budget):
     rep.cases += 2
 
 
-def suite_local_decomposition(rep, rng, budget):
+def suite_local_decomposition(rep, rng):
     E = IndexSet.divisors_of(6)
     z9 = make_ring("zmod:9")
     plans = [
@@ -454,7 +442,7 @@ def _brute_force_inverse(a, space):
     return None
 
 
-def suite_hodge_tate(rep, rng, budget):
+def suite_hodge_tate(rep, rng):
     plans = [
         ("zmod:4", 2, IndexSet.divisors_of(2), None),
         ("zmod:4", 2, IndexSet.p_typical(2, 2), None),
@@ -474,7 +462,7 @@ def suite_hodge_tate(rep, rng, budget):
         # R itself and on the dual numbers R[eps], which separates the
         # coincidental R-point agreements over non-reduced R
         dual = make_ring(f"quot(poly({rdesc}; eps); 1*eps^2)")
-        compare = sample is None and dual.size() ** len(E) * len(space) <= budget.enum_cap
+        compare = sample is None and dual.size() ** len(E) * len(space) <= ENUM_CAP
         if compare:
             dual_space = list(witt_space(E, dual))
             dual_wf = [w for w in dual_space if struct_mod.is_in_wf(w)]
@@ -541,7 +529,7 @@ def suite_hodge_tate(rep, rng, budget):
             rep.cases += 1
 
 
-def suite_v_one(rep, rng, budget):
+def suite_v_one(rep, rng):
     E = IndexSet.divisors_of(6)
     z9 = make_ring("zmod:9")
     ctx = struct_mod.LocalContext.p_local(3, z9, E)
@@ -595,7 +583,7 @@ def suite_v_one(rep, rng, budget):
     rep.cases += 1
 
 
-def suite_v_nonfree(rep, rng, budget):
+def suite_v_nonfree(rep, rng):
     t0 = time.monotonic()
     out = struct_mod.v_nonfree_obstruction(IndexSet.divisors_of(10))
     elapsed = time.monotonic() - t0
@@ -616,7 +604,7 @@ def suite_v_nonfree(rep, rng, budget):
     rep.cases += 1
 
 
-def suite_witt_unit(rep, rng, budget):
+def suite_witt_unit(rep, rng):
     E = IndexSet.divisors_of(2)
     ring = make_ring("zmod:4")
     space = list(witt_space(E, ring))
@@ -642,7 +630,7 @@ def suite_witt_unit(rep, rng, budget):
 # cone
 
 
-def suite_cone(rep, rng, budget):
+def suite_cone(rep, rng):
     z4 = make_ring("zmod:4")
     positives = [
         cone_mod.QuasiIdeal.rank_one(INTEGERS, 2),
@@ -741,7 +729,7 @@ def _random_step_filtration(rng, ambient=3, steps=3):
     return filt_mod.step_filtration(spaces, rng.randint(-2, 2))
 
 
-def suite_rees(rep, rng, budget):
+def suite_rees(rep, rng):
     unit = filt_mod.unit_filtration()
     # footnote normalization
     q1 = filt_mod.filtered_line(1)
@@ -817,7 +805,7 @@ def suite_rees(rep, rng, budget):
     rep.cases += 1
 
 
-def suite_iadic(rep, rng, budget):
+def suite_iadic(rep, rng):
     for g, names in ((1, ["x"]), (2, ["x", "z"])):
         pieces = filt_mod.iadic_gr(names, "diagonal", 4)
         for p in pieces:
@@ -838,7 +826,7 @@ def suite_iadic(rep, rng, budget):
 # derham
 
 
-def suite_derham(rep, rng, budget):
+def suite_derham(rep, rng):
     gm = derham_mod.hodge_cohomology(derham_mod.MonomialAlgebra(1, 0))
     if (gm.h[0], gm.h[1]) != (1, 1) or gm.fil[(1, 1)] != 1 or gm.fil[(2, 1)] != 0:
         rep.fail("gm", str(gm.h))
@@ -897,7 +885,7 @@ def suite_derham(rep, rng, budget):
 # prismatic_points
 
 
-def suite_prismatic(rep, rng, budget):
+def suite_prismatic(rep, rng):
     z4 = make_ring("zmod:4")
     E2 = IndexSet.divisors_of(2)
     ctx2 = pris_mod.PrismaticContext(
@@ -995,13 +983,13 @@ SUITES = {
 }
 
 
-def suite_run(name: str, seed: int, budget: Budget | None = None) -> SuiteReport:
+def suite_run(name: str, seed: int) -> SuiteReport:
     if name not in SUITES:
         raise WittforgeError(f"unknown suite {name!r}; see verify --list")
     _, fn = SUITES[name]
     rep = SuiteReport(name)
     t0 = time.monotonic()
-    fn(rep, _rng(seed, name), budget or Budget())
+    fn(rep, _rng(seed, name))
     rep.seconds = time.monotonic() - t0
     return rep
 

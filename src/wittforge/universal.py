@@ -355,12 +355,12 @@ def clear_memory_cache():
     _MEM.clear()
 
 
-def integrality_report(specs, term_cap=DEFAULT_TERM_CAP):
+def integrality_report(specs):
     """Regenerate families from scratch and report materialized/certified levels."""
     report = []
     for E in specs:
         for op in ("sum", "product", "negation"):
-            entry = generate_universal_polynomials(E, op, term_cap)
+            entry = generate_universal_polynomials(E, op)
             report.append(
                 {
                     "index_set": list(E.elements),

@@ -47,7 +47,6 @@ from .rings import (
     RingMismatch,
     UnsupportedRing,
     _same,
-    make_ring,
 )
 
 
@@ -131,12 +130,6 @@ class WittVector:
 
 def make_witt(E: IndexSet, ring: Ring, values) -> WittVector:
     return WittVector(E, ring, tuple(ring.raw(v) for v in values))
-
-
-def witt_from_json(obj, ring=None) -> WittVector:
-    ring = ring or make_ring(obj["ring"])
-    E = IndexSet.explicit(obj["index_set"])
-    return make_witt(E, ring, [obj["coords"][str(n)] for n in E])
 
 
 def witt_zero(E: IndexSet, ring: Ring) -> WittVector:
@@ -341,9 +334,12 @@ def dwork_check(w: dict, E: IndexSet) -> bool:
     Criterion: w_{mp} = w_m mod p^(1 + v_p(m)) for every prime p and m with
     mp in E.
     """
-    for n in E:
-        if not isinstance(w[n], int):
-            raise WittError("dwork_check expects integer entries")
+    try:
+        entries = [w[n] for n in E]
+    except KeyError as e:
+        raise WittError(f"the ghost vector has no component at index {e.args[0]}") from None
+    if not all(isinstance(v, int) for v in entries):
+        raise WittError("dwork_check expects integer entries")
     for n in E:
         for p in factorize(n):
             m = n // p
@@ -361,7 +357,10 @@ def unghost(w: dict, E: IndexSet, ring: Ring) -> WittVector:
     Over a ring of fractions it unghosts the integral ghost vector of [D]x,
     D the common denominator times rad(lcm E).
     """
-    raw = [ring.raw(w[n]) for n in E]
+    try:
+        raw = [ring.raw(w[n]) for n in E]
+    except KeyError as e:
+        raise WittError(f"the ghost vector has no component at index {e.args[0]}") from None
     if ring == INTEGERS:
         ints = dict(zip(E, raw))
         if not dwork_check(ints, E):

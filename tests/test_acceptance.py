@@ -13,13 +13,13 @@ import pytest
 
 from wittforge.indexset import IndexSet
 from wittforge.structure import v_nonfree_obstruction
-from wittforge.suites import Budget, suite_run
+from wittforge.suites import suite_run
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def _run(name, seed=42):
-    return suite_run(name, seed, Budget())
+    return suite_run(name, seed)
 
 
 def _report(num, label, ok, detail=""):

@@ -19,7 +19,7 @@ from wittforge.rings import (
     ValidationError,
     make_ring,
 )
-from wittforge.witt import WittRing, make_witt, teichmuller, unghost, witt_from_json, witt_mul
+from wittforge.witt import WittRing, make_witt, teichmuller, unghost, witt_mul
 
 Z, Q = INTEGERS, RATIONALS
 Z4 = make_ring("zmod:4")
@@ -110,7 +110,6 @@ def test_a_bool_is_stored_as_its_int():
     w = make_witt(E2, Z, [True, False])
     assert [type(c) for c in w.coords] == [int, int] and w.coords == (1, 0)
     assert w.to_json()["coords"] == {"1": "1", "2": "0"}
-    assert witt_from_json(w.to_json()) == w
     assert ZX.raw((((1,), True),)) == (((1,), 1),)
 
 

@@ -6,12 +6,10 @@ from wittforge.derham import (
     DeRhamError,
     MonomialAlgebra,
     build_complex,
-    gadr_points,
     hodge_cohomology,
     rees_package_degree,
 )
 from wittforge.numutil import binomial
-from wittforge.rings import make_ring
 
 
 def test_gm():
@@ -135,16 +133,6 @@ def test_report_json():
     assert obj["H"] == {"0": 1, "1": 1}
     assert obj["Fil"]["1"]["1"] == 1 and obj["Fil"]["1"]["2"] == 0
     assert "rees" in obj
-
-
-def test_gadr_points():
-    R = make_ring("quot(poly(rationals; t); 1*t^3)")
-    out = gadr_points(R, R.variable("t"))
-    assert out["pi0"].descriptor() == "quot(poly(rationals; t); 1*t)"
-    out1 = gadr_points(R, R.one())
-    assert out1["pi0"].size() == 1
-    out0 = gadr_points(R, R.zero())
-    assert out0["pi0"].descriptor() == R.descriptor()
 
 
 def test_bad_algebra():

@@ -63,6 +63,17 @@ def test_non_integer_members_are_typed(elems):
         IndexSet.explicit(elems)
 
 
+def test_a_bool_member_is_stored_as_its_int():
+    from wittforge.rings import make_ring
+    from wittforge.witt import make_witt
+
+    E = IndexSet.explicit([True, 2])
+    assert E == IndexSet.divisors_of(2) and [type(n) for n in E] == [int, int]
+    assert repr(E) == "{1,2}"
+    assert make_witt(E, make_ring("zmod:4"), [1, 3]).to_json() == {
+        "ring": "zmod:4", "index_set": [1, 2], "coords": {"1": "1", "2": "3"}}
+
+
 def test_position_outside_the_set_is_typed():
     from wittforge.rings import INTEGERS
     from wittforge.witt import make_witt

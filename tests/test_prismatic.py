@@ -3,9 +3,10 @@ from itertools import product as iter_product
 
 import pytest
 
-from wittforge.cone import cone_level_arith
+from wittforge.cone import cone_level_mul
 from wittforge.indexset import IndexSet
 from wittforge.rings import make_ring
+from wittforge.sparsepoly import IntPoly
 from wittforge.structure import EnumerationBudget, LocalContext
 from wittforge.prismatic import (
     AffinePresentation,
@@ -48,7 +49,7 @@ def test_wbar_levels():
     W = model.context.witt_ring
     u = (W.from_int(1), (W.from_int(3),))
     v = (W.from_int(2), (W.from_int(5),))
-    prod = cone_level_arith(model.quasi_ideal, 2, "mul", u, v)
+    prod = cone_level_mul(model.quasi_ideal, u, v)
     assert prod[0] == W.from_int(2)
     assert model.check_pi0_maps()
     assert model.kernel_squares_into_ideal()
@@ -108,6 +109,33 @@ def test_budget():
     E3 = IndexSet.p_typical(2, 2)
     with pytest.raises(EnumerationBudget):
         witt_points(AffinePresentation(("x", "y", "z")), E3, z8, cap=100)
+
+
+@pytest.mark.parametrize(
+    "generators, relations",
+    [
+        (("x",), ("1*x^2",)),
+        (("x",), ("1*x^3+-1*x",)),
+        (("x", "y"), ("1*x*y+-1",)),
+        (("x", "y"), ("1*y^2+-1*x", "1*x^2")),
+        (("x",), ("2*x",)),
+        (("x", "y"), ("1*x^2*y^3+3*x",)),
+    ],
+)
+def test_difference_polynomial_at_zero_is_the_jacobian(generators, relations):
+    # D_f(X, A, 0) = sum_j df/dx_j(X) * A_j, with the partials taken formally
+    B = AffinePresentation(generators, relations)
+    g = len(generators)
+    for f, d in zip(B.relation_intpolys(), _difference_polys(B)):
+        at_zero = {e[:-1]: c for e, c in d.terms.items() if e[-1] == 0}
+        jacobian = IntPoly(2 * g)
+        for j in range(g):
+            unit = tuple(int(k == j) for k in range(g))
+            jacobian = jacobian + IntPoly(2 * g, {
+                tuple(x - u for x, u in zip(e, unit)) + unit: c * e[j]
+                for e, c in f.terms.items() if e[j]
+            })
+        assert IntPoly(2 * g, at_zero) == jacobian, f
 
 
 def test_two_generators():

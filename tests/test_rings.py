@@ -605,3 +605,8 @@ def test_coset_ring_refuses_only_what_it_cannot_compute(name):
         with pytest.raises(UnsupportedRing) as refusal:
             call()
         assert str(refusal.value).endswith(f"unsupported over {R.descriptor()}")
+
+
+def test_a_negative_power_of_an_element_is_a_ring_error():
+    with pytest.raises(RingError, match="negative powers only via unit inverses"):
+        RATIONALS(2) ** -1

@@ -102,3 +102,35 @@ def test_kernel_matches_universal_polynomials_property():
         check_against_oracle(random_witt(E, ring, rng), random_witt(E, ring, rng))
 
     agree()
+
+
+ODD_RINGS = (
+    "integers",
+    "rationals",
+    "zmod:12",
+    "zmod:9",
+    "poly(zmod:4; x)",
+    "poly(rationals; x; inv x)",
+    "quot(poly(zmod:6; t); 1*t^2+1)",
+)
+
+
+@pytest.mark.parametrize("descriptor", ODD_RINGS)
+def test_negation_is_coordinatewise_when_every_index_is_odd(descriptor):
+    # with every n in E odd, each exponent n/d in g_n = sum d x_d^(n/d) is odd,
+    # so (-x_d) has the ghosts -g_n of -x; the universal identity holds in any ring
+    ring = make_ring(descriptor)
+    rng = random.Random(descriptor)
+    for spec in ("div:15", "ptyp:3:3", "div:9", "set:1", "div:45"):
+        E = index_set_make(spec)
+        for _ in range(30):
+            a = random_witt(E, ring, rng)
+            assert witt_neg(a).coords == tuple(ring.neg(c) for c in a.coords), (spec, a)
+
+
+def test_negation_is_not_coordinatewise_at_an_even_index():
+    # the control of the oracle above: at E = {1, 2} the identity fails
+    ring, E = make_ring("zmod:12"), index_set_make("div:2")
+    rng = random.Random(2)
+    draws = [random_witt(E, ring, rng) for _ in range(50)]
+    assert any(witt_neg(a).coords != tuple(ring.neg(c) for c in a.coords) for a in draws)
