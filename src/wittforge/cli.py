@@ -12,7 +12,9 @@ every library error (a WittforgeError), each reported as one
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
 from .cone import (
@@ -42,7 +44,7 @@ from .prismatic import (
 )
 from .rings import ENUM_CAP, UnsupportedRing, make_ring
 from .structure import LocalContext, is_distinguished, is_hodge_tate, local_decompose
-from .suites import SUITES, coverage_map, suite_run
+from .suites import SUITES, coverage_map, suite_check, suite_run
 from .witt import frobenius, ghost, make_witt, teichmuller, verschiebung, witt_add, witt_mul, witt_neg, witt_sub
 
 
@@ -251,11 +253,27 @@ def cmd_prismatic(args):
     return out, 0 if out["axioms"] else 1
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
 def cmd_verify(args):
     if args.list:
         return {"coverage": coverage_map(), "suites": sorted(SUITES)}, 0
-    names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    reports = [suite_run(name, args.seed) for name in names]
+    # The suites are independent, so each runs in a worker process.  They are
+    # handed out in SUITES order, which starts the heaviest first, and reported
+    # in name order, so the output does not depend on the number of workers.
+    # Reports are taken as they arrive, so a suite that raises ends the run
+    # without waiting for the others.
+    names = list(SUITES) if args.suite == "all" else [suite_check(args.suite)]
+    import multiprocessing  # here, so that no other command pays for its import
+
+    with multiprocessing.Pool(min(_usable_cpus(), len(names))) as pool:
+        done = pool.imap_unordered(functools.partial(suite_run, seed=args.seed), names)
+        reports = sorted(done, key=lambda r: r.name)
     ok = all(r.ok() for r in reports)
     out = {
         "seed": args.seed,

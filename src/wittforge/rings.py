@@ -249,6 +249,8 @@ class RingElement:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if not isinstance(n, int):
+            raise RingError(f"an exponent must be an int, not {type(n).__name__}")
         if n < 0:
             raise RingError("negative powers only via unit inverses")
         return RingElement(self.ring, self.ring.pow(self.value, n))

@@ -983,10 +983,15 @@ SUITES = {
 }
 
 
-def suite_run(name: str, seed: int) -> SuiteReport:
+def suite_check(name: str) -> str:
+    """`name`, if it names a suite; otherwise the WittforgeError verify reports."""
     if name not in SUITES:
         raise WittforgeError(f"unknown suite {name!r}; see verify --list")
-    _, fn = SUITES[name]
+    return name
+
+
+def suite_run(name: str, seed: int) -> SuiteReport:
+    _, fn = SUITES[suite_check(name)]
     rep = SuiteReport(name)
     t0 = time.monotonic()
     fn(rep, _rng(seed, name))

@@ -32,6 +32,7 @@ is therefore exact, and S.exact_div_int still raises if one is not.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import product as iter_product
 from math import lcm, prod
@@ -328,16 +329,25 @@ def ghost(a: WittVector) -> dict:
     return {n: a.ring.elem(v) for n, v in ghost_raw(a).items()}
 
 
+def _components(w, E: IndexSet) -> list:
+    """The ghost vector w's components, in the order of E."""
+    if not isinstance(w, Mapping):
+        raise WittError(
+            f"a ghost vector maps each index of E to a component, not a {type(w).__name__}"
+        )
+    try:
+        return [w[n] for n in E]
+    except KeyError as e:
+        raise WittError(f"the ghost vector has no component at index {e.args[0]}") from None
+
+
 def dwork_check(w: dict, E: IndexSet) -> bool:
     """True iff the integer vector w is the ghost of an integral Witt vector.
 
     Criterion: w_{mp} = w_m mod p^(1 + v_p(m)) for every prime p and m with
     mp in E.
     """
-    try:
-        entries = [w[n] for n in E]
-    except KeyError as e:
-        raise WittError(f"the ghost vector has no component at index {e.args[0]}") from None
+    entries = _components(w, E)
     if not all(isinstance(v, int) for v in entries):
         raise WittError("dwork_check expects integer entries")
     for n in E:
@@ -357,10 +367,7 @@ def unghost(w: dict, E: IndexSet, ring: Ring) -> WittVector:
     Over a ring of fractions it unghosts the integral ghost vector of [D]x,
     D the common denominator times rad(lcm E).
     """
-    try:
-        raw = [ring.raw(w[n]) for n in E]
-    except KeyError as e:
-        raise WittError(f"the ghost vector has no component at index {e.args[0]}") from None
+    raw = list(map(ring.raw, _components(w, E)))
     if ring == INTEGERS:
         ints = dict(zip(E, raw))
         if not dwork_check(ints, E):

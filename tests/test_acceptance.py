@@ -4,6 +4,8 @@ The criteria are exact (no numeric tolerances); the stated time limits are
 asserted with a wall clock.
 """
 
+import functools
+import json
 import os
 import subprocess
 import sys
@@ -13,12 +15,14 @@ import pytest
 
 from wittforge.indexset import IndexSet
 from wittforge.structure import v_nonfree_obstruction
-from wittforge.suites import suite_run
+from wittforge.suites import SUITES, suite_run
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
+@functools.cache
 def _run(name, seed=42):
+    # one in-process run per suite: criterion 13 compares the CLI with them
     return suite_run(name, seed)
 
 
@@ -173,10 +177,19 @@ def test_criterion_13_verify_cli():
         timeout=120,
     )
     elapsed = time.monotonic() - t0
-    ok = proc.returncode == 0 and elapsed < 60.0
+    # the serial oracle: the suites run one after another in this process
+    reports = [_run(name) for name in sorted(SUITES)]
+    serial = {
+        "seed": 42,
+        "suites": [r.to_json() for r in reports],
+        "passed": all(r.ok() for r in reports),
+    }
+    same = proc.stdout == json.dumps(serial, sort_keys=True, separators=(",", ":")) + "\n"
+    ok = proc.returncode == 0 and elapsed < 60.0 and same
     _report(
         13,
-        "verify --suite all --seed 42 exits 0 in under 60 s",
+        "verify --suite all --seed 42 exits 0 in under 60 s and prints what the "
+        "suites print when run one after another in-process",
         ok,
-        f"exit={proc.returncode}, {elapsed:.1f}s",
+        f"exit={proc.returncode}, {elapsed:.1f}s, same={same}",
     )

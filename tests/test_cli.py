@@ -1,5 +1,6 @@
 import errno
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 from wittforge.cli import main
+from wittforge.rings import RingError
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -210,9 +212,89 @@ def test_verify_list(capsys):
 
 def test_determinism(capsys):
     argv = ["verify", "--suite", "witt-unit", "--seed", "7"]
-    _, out1, _ = run_cli(argv, capsys)
-    _, out2, _ = run_cli(argv, capsys)
+    code1, out1, _ = run_cli(argv, capsys)
+    code2, out2, _ = run_cli(argv, capsys)
+    assert code1 == code2 == 0 and json.loads(out1)["passed"]
     assert out1 == out2
+
+
+# verify runs each suite in a worker process; a suite patched here reaches the
+# workers only when they are forked from this process
+FORKED = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="workers are not forked"
+)
+
+
+def test_an_unknown_suite_is_refused_before_any_worker_starts(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    code, out, err = run_cli(["verify", "--suite", "nope"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: WittforgeError: unknown suite 'nope'; see verify --list\n"
+
+
+@pytest.fixture
+def light_suites(monkeypatch):
+    """verify --suite all runs five quick suites, declared out of name order."""
+    import wittforge.cli as cli
+    import wittforge.suites as suites
+
+    names = ("witt-unit", "v-nonfree", "iadic-gr", "cone-laws", "wf-annihilator")
+    light = {name: suites.SUITES[name] for name in names}
+    monkeypatch.setattr(suites, "SUITES", light)
+    monkeypatch.setattr(cli, "SUITES", light)
+    return light
+
+
+def _raise_a_ring_error(rep, rng):
+    raise RingError(f"raised in process {os.getpid()}")
+
+
+def _raise_a_key_error(rep, rng):
+    raise KeyError("bug")
+
+
+@FORKED
+def test_a_library_error_in_a_worker_is_one_error_line(light_suites, capsys):
+    light_suites["iadic-gr"] = ("rees_filtration", _raise_a_ring_error)
+    code, out, err = run_cli(["verify", "--suite", "all"], capsys)
+    assert code == 2 and out == ""
+    prefix = "error: RingError: raised in process "
+    assert err.startswith(prefix) and err.count("\n") == 1 and "Traceback" not in err
+    assert int(err[len(prefix):]) != os.getpid()
+
+
+@FORKED
+def test_a_library_bug_in_a_worker_propagates(light_suites):
+    light_suites["iadic-gr"] = ("rees_filtration", _raise_a_key_error)
+    with pytest.raises(KeyError, match="bug"):
+        main(["verify", "--suite", "all"])
+
+
+@FORKED
+def test_the_output_does_not_depend_on_the_worker_count(light_suites, capsys, monkeypatch):
+    import wittforge.cli as cli
+
+    outs = set()
+    for workers in (1, 2, 5):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        code, out, _ = run_cli(["verify", "--suite", "all", "--seed", "3"], capsys)
+        assert code == 0
+        outs.add(out)
+    assert len(outs) == 1
+    assert [s["suite"] for s in json.loads(out)["suites"]] == sorted(light_suites)
+
+
+def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch):
+    import wittforge.cli as cli
+
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._usable_cpus() == 1
 
 
 def test_out_file(tmp_path, capsys):

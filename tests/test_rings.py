@@ -610,3 +610,30 @@ def test_coset_ring_refuses_only_what_it_cannot_compute(name):
 def test_a_negative_power_of_an_element_is_a_ring_error():
     with pytest.raises(RingError, match="negative powers only via unit inverses"):
         RATIONALS(2) ** -1
+
+
+@pytest.mark.parametrize("exponent", [0.5, 2.0, Fraction(1, 2), "2"], ids=repr)
+def test_a_non_int_power_of_an_element_is_a_ring_error(exponent):
+    # a float exponent used to round: RATIONALS(2) ** 0.5 gave 1.4142135623730951
+    kind = type(exponent).__name__
+    with pytest.raises(RingError, match=f"^an exponent must be an int, not {kind}$"):
+        RATIONALS(2) ** exponent
+
+
+@pytest.mark.parametrize(
+    "descriptor, text, neg",
+    [
+        ("zmod:12", "5", "7"),
+        ("poly(rationals; x; inv x)", "1/2*x^-1+3", "-1/2*x^-1+-3"),
+        ("quot(poly(zmod:6; t); 1+1*t^2)", "1+5*t", "5+1*t"),
+    ],
+)
+def test_element_negation_hash_truth_and_repr(descriptor, text, neg):
+    R = make_ring(descriptor)
+    a = R(text)
+    assert repr(R) == descriptor and repr(a) == text and repr(-a) == neg
+    assert -a == R(neg) and (-a).ring is R and -(-a) == a
+    assert a and not R(0) and not (a + -a)
+    twin = R(text)
+    assert twin is not a and hash(twin) == hash(a) and {a: "a"}[twin] == "a"
+    assert len({a, twin, -a}) == 2

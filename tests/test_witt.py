@@ -101,13 +101,26 @@ def test_dwork():
     assert dwork_check({**w, 8: w[8] + 8}, E)
 
 
-@pytest.mark.parametrize("call", [
+GHOST_READERS = pytest.mark.parametrize("call", [
     lambda w, E: unghost(w, E, RATIONALS),
     dwork_check,
 ], ids=["unghost", "dwork_check"])
+
+
+@GHOST_READERS
 def test_a_missing_ghost_component_is_a_witt_error(call):
     with pytest.raises(WittError, match="^the ghost vector has no component at index 2$"):
         call({1: 0}, E2)
+
+
+@GHOST_READERS
+@pytest.mark.parametrize("w", [[0, 1], [0, 2, 4], (0, 2)], ids=repr)
+def test_a_ghost_vector_that_is_not_a_mapping_is_a_witt_error(call, w):
+    # indexed by the members of E, a short sequence failed with a bare
+    # IndexError and a longer one was silently misread
+    kind = type(w).__name__
+    with pytest.raises(WittError, match=f"^a ghost vector maps each index of E to a component, not a {kind}$"):
+        call(w, E2)
 
 
 def test_frobenius():
