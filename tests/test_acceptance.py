@@ -5,6 +5,7 @@ asserted with a wall clock.
 """
 
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -24,6 +25,17 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 def _run(name, seed=42):
     # one in-process run per suite: criterion 13 compares the CLI with them
     return suite_run(name, seed)
+
+
+def _serial_stdout():
+    """What verify --suite all --seed 42 prints: the suites run one after another."""
+    reports = [_run(name) for name in sorted(SUITES)]
+    serial = {
+        "seed": 42,
+        "suites": [r.to_json() for r in reports],
+        "passed": all(r.ok() for r in reports),
+    }
+    return json.dumps(serial, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _report(num, label, ok, detail=""):
@@ -177,14 +189,7 @@ def test_criterion_13_verify_cli():
         timeout=120,
     )
     elapsed = time.monotonic() - t0
-    # the serial oracle: the suites run one after another in this process
-    reports = [_run(name) for name in sorted(SUITES)]
-    serial = {
-        "seed": 42,
-        "suites": [r.to_json() for r in reports],
-        "passed": all(r.ok() for r in reports),
-    }
-    same = proc.stdout == json.dumps(serial, sort_keys=True, separators=(",", ":")) + "\n"
+    same = proc.stdout == _serial_stdout()
     ok = proc.returncode == 0 and elapsed < 60.0 and same
     _report(
         13,
@@ -192,4 +197,19 @@ def test_criterion_13_verify_cli():
         "suites print when run one after another in-process",
         ok,
         f"exit={proc.returncode}, {elapsed:.1f}s, same={same}",
+    )
+
+
+# SHA-256 of `verify --suite all --seed 42`'s stdout: a change that moves a
+# draw, a case count or a failure label of any suite changes it
+VERIFY_SEED_42_SHA256 = "ef77208985033c398e29b0eb24fdc2e1e3f4e458c77774e8da00bf619a29215e"
+
+
+def test_criterion_13_verify_output_is_pinned():
+    digest = hashlib.sha256(_serial_stdout().encode()).hexdigest()
+    _report(
+        13,
+        "the suites at seed 42 print the pinned verify output",
+        digest == VERIFY_SEED_42_SHA256,
+        f"sha256={digest}",
     )
