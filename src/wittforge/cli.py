@@ -17,21 +17,13 @@ import json
 import os
 import sys
 
-from .cone import (
-    FreeModule,
-    QuasiIdeal,
-    cone_hom_set,
-    cone_pi0,
-    quasi_ideal_check,
-    quasi_ideal_from_json,
-)
+from .cone import FreeModule, QuasiIdeal, cone_hom_set, cone_pi0, quasi_ideal_check
 from .derham import MonomialAlgebra, hodge_cohomology
 from .filtration import (
     Subspace,
     filtered_line,
     filtered_of_rees,
     rees_of_filtered,
-    shift_filtration,
     step_filtration,
 )
 from .indexset import index_set_make
@@ -170,19 +162,9 @@ def cmd_distinguished(args):
 
 
 def cmd_cone(args):
-    if args.json:
-        try:
-            obj = json.loads(args.json)
-        except json.JSONDecodeError as e:
-            raise UsageError(f"--json is not valid JSON: {e}") from None
-        q = quasi_ideal_from_json(obj)
-        ring = q.ring
-    else:
-        if not args.base or not args.d:
-            raise UsageError("cone needs --base and --d, or --json")
-        ring = make_ring(args.base)
-        dvals = args.d.split(",")
-        q = QuasiIdeal(ring, FreeModule(ring, len(dvals)), dvals)
+    ring = make_ring(args.base)
+    dvals = args.d.split(",") if args.d else []  # --d "" is the zero module
+    q = QuasiIdeal(ring, FreeModule(ring, len(dvals)), dvals)
     ok, witness = quasi_ideal_check(q)
     out = {"quasi_ideal_law": ok}
     if not ok:
@@ -225,8 +207,6 @@ def cmd_rees(args):
         M = step_filtration(spaces, args.start)
     else:
         raise UsageError("rees needs --line N or --step d0,d1,...")
-    if args.shift:
-        M = shift_filtration(M, args.shift)
     G = rees_of_filtered(M)
     out = G.to_json()
     out["round_trip"] = filtered_of_rees(G) == M
@@ -239,14 +219,14 @@ def cmd_derham(args):
 
 def cmd_prismatic(args):
     ring, E = _ring_and_set(args)
-    xi = _vector(args, "xi", ring, E)
-    ctx = PrismaticContext(ring, E, xi, _local_context(args, ring, E))
     gens = tuple(g.strip() for g in args.gens.split(",") if g.strip())
     rels = tuple(r.strip() for r in (args.relations or "").split(";") if r.strip())
     B = AffinePresentation(gens, rels)
     if args.witt_points:
         pts = witt_points(B, E, ring, cap=args.budget_enum)
         return {"count": len(pts), "points": [[w.to_json()["coords"] for w in p] for p in pts]}, 0
+    xi = _vector(args, "xi", ring, E)
+    ctx = PrismaticContext(ring, E, xi, _local_context(args, ring, E))
     gpd = prismatic_points_affine(B, ctx, cap=args.budget_enum)
     out = gpd.to_json()
     out["axioms"] = gpd.check_axioms()
@@ -338,16 +318,14 @@ def build_parser():
         context_args(sp)
 
     sp = command("cone", cmd_cone, "quasi-ideal check, pi0 and hom sets")
-    sp.add_argument("--base", default=None, help="base ring descriptor")
-    sp.add_argument("--d", default=None, help="d-values of the free generators")
-    sp.add_argument("--json", default=None, help="quasi-ideal as a JSON object")
+    sp.add_argument("--base", required=True, help="base ring descriptor")
+    sp.add_argument("--d", required=True, help='d-values of the free generators; "" for none')
     sp.add_argument("--hom", nargs=2, metavar=("R1", "R2"), default=None)
 
     sp = command("rees", cmd_rees, "Rees module of a step filtration")
     sp.add_argument("--line", type=int, default=None, help="the filtered line Q{n}")
     sp.add_argument("--step", default=None, help="decreasing dimensions d0,d1,...")
     sp.add_argument("--start", type=int, default=0)
-    sp.add_argument("--shift", type=int, default=0)
 
     sp = command("derham", cmd_derham, "Hodge-filtered de Rham cohomology")
     sp.add_argument("--torus", type=int, required=True)

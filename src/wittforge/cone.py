@@ -18,11 +18,11 @@ from functools import cached_property
 from itertools import product as iter_product
 
 from .numutil import WittforgeError
-from .rings import ENUM_CAP, Ring, UnsupportedRing, make_ring
+from .rings import ENUM_CAP, Ring, UnsupportedRing
 
 
 class ConeError(WittforgeError):
-    pass
+    """A failed cone computation; perfbench's harness counts it among the typed errors."""
 
 
 class Module:
@@ -148,26 +148,6 @@ class QuasiIdeal:
     def from_ideal(cls, ring: Ring, generators) -> "QuasiIdeal":
         mod = IdealModule(ring, generators)
         return cls(ring, mod, mod.generators())
-
-
-def quasi_ideal_from_json(obj) -> QuasiIdeal:
-    if not (
-        isinstance(obj, dict)
-        and isinstance(obj.get("base"), str)
-        and isinstance(obj.get("d"), list)
-        and all(isinstance(v, str) for v in obj["d"])
-    ):
-        raise ConeError('a quasi-ideal needs an object with a string "base" and string list "d"')
-    if obj.get("relations"):
-        raise UnsupportedRing("relation matrices are not supported; use a free module")
-    ring = make_ring(obj["base"])
-    rank = len(obj["d"])
-    generators = obj.get("generators", rank)
-    if type(generators) is not int:  # a JSON true would pass as 1
-        raise ConeError('"generators" must be an integer')
-    if generators != rank:
-        raise UnsupportedRing("generator count does not match the d-values")
-    return QuasiIdeal(ring, FreeModule(ring, rank), obj["d"])
 
 
 def quasi_ideal_check(q: QuasiIdeal):

@@ -81,6 +81,10 @@ class PrismaticContext:
     local: LocalContext
 
     def __post_init__(self):
+        if self.xi.ring != self.ring or self.xi.index_set != self.index_set:
+            raise PrismaticError(
+                f"{self.xi} is not in W_{self.index_set}({self.ring.descriptor()})"
+            )
         ok, _ = is_distinguished(self.xi, self.local)
         if not ok:
             raise PrismaticError(f"{self.xi} is not distinguished")

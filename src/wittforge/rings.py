@@ -954,10 +954,16 @@ class CosetRing(Ring):
         self.base = base
         self.values = tuple(values)
         elements = list(base.elements())
-        ideal = {base.zero()}
-        for g in self.values:  # I = g_1 R + ... + g_k R, one sum at a time
-            multiples = {base.mul(r, g) for r in elements}
-            ideal = {base.add(x, y) for x in ideal for y in multiples}
+        first, *rest = self.values or (base.zero(),)
+        ideal = {base.mul(r, first) for r in elements}  # g_1 R is already a group
+        for g in rest:
+            for y in {base.mul(r, g) for r in elements}:
+                # I + Zy is the union of the cosets ky + I, k below the order of y mod I
+                cosets, ky = [], y
+                while ky not in ideal:
+                    cosets.extend(base.add(ky, x) for x in ideal)
+                    ky = base.add(ky, y)
+                ideal.update(cosets)
         self._rep = {}  # every element of R -> the representative of its coset
         self._classes = []
         for r in elements:

@@ -395,6 +395,17 @@ def test_generation_error_exit_code(capsys, monkeypatch):
     assert code == 2 and out == "" and err == "error: NotMaterialized: not expanded\n"
 
 
+def test_witt_points_need_no_xi(capsys):
+    # the J(X) points of Spec Z[x]/(x^2 - x): the idempotents of W_{1,2}(Z/2)
+    code, out, _ = run_cli(
+        ["prismatic", "--ring", "zmod:2", "--index-set", "div:2", "--gens", "x",
+         "--relations", "1*x^2+-1*x", "--witt-points"],
+        capsys,
+    )
+    assert code == 0
+    assert out == '{"count":2,"points":[[{"1":"0","2":"0"}],[{"1":"1","2":"0"}]]}\n'
+
+
 def test_prismatic_error_exit_code(capsys):
     code, out, err = run_cli(
         ["prismatic", "--ring", "zmod:4", "--index-set", "set:1", "--xi", "3", "--p", "2",
@@ -470,23 +481,33 @@ def test_module_invocation_subprocess():
     assert proc.stdout == '{"coords":{"1":"2","2":"-1"}}\n'
 
 
-def test_cone_json_input(capsys):
-    code, out, _ = run_cli(
-        ["cone", "--json", '{"base":"zmod:4","generators":1,"relations":[],"d":["2"]}'],
-        capsys,
-    )
+def test_cone_pi0_of_a_finite_base(capsys):
+    code, out, _ = run_cli(["cone", "--base", "zmod:4", "--d", "2"], capsys)
     assert code == 0
     assert json.loads(out)["pi0"] == {"classes": 2, "image_size": 2}
 
 
-@pytest.mark.parametrize("base", ["zmod:4", "integers"])
+@pytest.mark.parametrize("base", ["zmod:4", "integers", "rationals"])
 def test_cone_zero_module_hom_set(base, capsys):
-    # the zero module has one element, whatever the ring
-    obj = f'{{"base":"{base}","d":[]}}'
-    code, out, _ = run_cli(["cone", "--json", obj, "--hom", "0", "0"], capsys)
+    # --d "" is the zero module, which has one element, whatever the ring
+    code, out, _ = run_cli(["cone", "--base", base, "--d", "", "--hom", "0", "0"], capsys)
     assert code == 0 and json.loads(out)["hom"] == [[]]
-    code, out, _ = run_cli(["cone", "--json", obj, "--hom", "0", "1"], capsys)
+    code, out, _ = run_cli(["cone", "--base", base, "--d", "", "--hom", "0", "1"], capsys)
     assert code == 0 and json.loads(out)["hom"] == []
+
+
+# each input has one spelling: the quasi-ideal is --base/--d, a shifted line is --line N+n
+REMOVED_SPELLINGS = [
+    ["cone", "--base", "zmod:4", "--d", "2", "--json", "{}"],
+    ["rees", "--line", "1", "--shift", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", REMOVED_SPELLINGS)
+def test_removed_spellings_are_unrecognized(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: UsageError: unrecognized arguments: ")
 
 
 def test_bad_index_set_exit_code(capsys):
@@ -503,10 +524,10 @@ def test_bad_index_set_exit_code(capsys):
          "--a", "1/0,1", "--b", "1,1"],
         ["witt", "add", "--ring", "poly(rationals; x)", "--index-set", "div:2",
          "--a", "1/0*x,1", "--b", "1,1"],
-        ["cone", "--json", "nope"],
-        ["cone", "--json", "[1]"],
-        ["cone", "--json", '{"base":5,"d":["1"]}'],
-        ["cone", "--json", '{"base":"integers","d":[1]}'],
+        *REMOVED_SPELLINGS,
+        # a base that is no ring descriptor; a d-value that is no ring element
+        ["cone", "--base", "5", "--d", "1"],
+        ["cone", "--base", "integers", "--d", "x"],
         ["rees", "--step", "3,x"],
         ["rees", "--step", "2,-1"],
         ["rees", "--step", "-1"],
@@ -522,10 +543,10 @@ def test_bad_index_set_exit_code(capsys):
         # d = 0: Hom(r, r) is the whole ring, which is not listed
         ["cone", "--base", "integers", "--d", "0", "--hom", "0", "0"],
         ["cone", "--base", "rationals", "--d", "0", "--hom", "1/2", "1/2"],
-        # a JSON boolean equals 1 or 0 in Python, but it is no generator count
-        ["cone", "--json", '{"base":"zmod:4","d":["2"],"generators":true}'],
-        ["cone", "--json", '{"base":"zmod:4","d":[],"generators":false}'],
-        ["cone", "--json", '{"base":"zmod:4","d":["2"],"generators":1.0}'],
+        # --base and --d are both required, and only the whole --d "" is the zero module
+        ["cone", "--base", "zmod:4"],
+        ["cone", "--d", "2"],
+        ["cone", "--base", "zmod:4", "--d", "2,"],
         # one local context: a prime or all primes inverted, never both
         ["decompose", "--ring", "zmod:9", "--index-set", "div:6", "--a", "1,0,0,0",
          "--p", "3", "--rational"],

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from wittforge.cone import (
-    ConeError,
     FreeModule,
     QuasiIdeal,
     UnsupportedRing,
@@ -262,24 +261,6 @@ def test_pi0_of_a_large_finite_ring_is_refused():
     # listing Z/200001 and a dict over it is past the enumeration cap
     with pytest.raises(UnsupportedRing, match="200001 elements"):
         cone_pi0(QuasiIdeal.rank_one(make_ring("zmod:200001"), 2))
-
-
-def test_quasi_ideal_json():
-    from wittforge.cone import quasi_ideal_from_json
-
-    q = QuasiIdeal.rank_one(INTEGERS, 2)
-    q2 = quasi_ideal_from_json({"base": "integers", "generators": 1, "relations": [], "d": ["2"]})
-    assert q2.d_gens == q.d_gens and q2.ring == q.ring
-    with pytest.raises(UnsupportedRing):
-        quasi_ideal_from_json({"base": "integers", "generators": 1, "relations": [[1]], "d": ["2"]})
-    for bad in (
-        [1],  # not an object
-        {"base": 5, "d": ["1"]},  # base not a string
-        {"base": "integers", "d": [1]},  # a d-value not a string
-        {"base": "integers", "d": "12"},  # d a string, not a list of strings
-    ):
-        with pytest.raises(ConeError):
-            quasi_ideal_from_json(bad)
 
 
 def test_pi0_univariate_rational_quotients():

@@ -43,8 +43,8 @@ ARGVS = [
     ["cone", "--base", "zmod:4", "--d", "2", "--hom", "1", "3"],
     ["cone", "--base", "rationals", "--d", "1/2", "--hom", "0", "1"],
     ["cone", "--base", "quot(poly(rationals; t); 1*t^3)", "--d", "1*t,0"],
-    ["cone", "--json", '{"base":"zmod:4","generators":1,"relations":[],"d":["2"]}'],
-    ["rees", "--line", "1", "--shift", "2"],
+    ["cone", "--base", "zmod:4", "--d", ""],
+    ["rees", "--line", "3"],
     ["rees", "--step", "3,2,1", "--start", "1"],
 ]
 

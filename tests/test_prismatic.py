@@ -37,6 +37,14 @@ def test_context_requires_distinguished():
         PrismaticContext(Z4, E1, make_witt(E1, Z4, [1]), LocalContext.p_local(2, Z4, E1))
 
 
+@pytest.mark.parametrize("ring, E", [(make_ring("zmod:8"), E2), (Z4, E1)], ids=["ring", "index-set"])
+def test_context_agrees_with_its_xi(ring, E):
+    # xi = (2, 3) and the local context lie over W_{1,2}(Z/4)
+    xi = make_witt(E2, Z4, [2, 3])
+    with pytest.raises(PrismaticError, match="is not in W_"):
+        PrismaticContext(ring, E, xi, LocalContext.p_local(2, Z4, E2))
+
+
 def test_wbar_pi0():
     model = wbar_ring(ctx_e1())
     assert model.pi0.size() == 2

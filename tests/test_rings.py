@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 
 import pytest
 
@@ -8,6 +9,7 @@ from wittforge.indexset import index_set_make
 from wittforge.rings import (
     INTEGERS,
     RATIONALS,
+    CosetRing,
     InexactDivision,
     ParseError,
     Ring,
@@ -15,6 +17,7 @@ from wittforge.rings import (
     RingMismatch,
     UnsupportedRing,
     ValidationError,
+    ZModRing,
     elem_arith,
     elem_is_nilpotent,
     elem_is_unit,
@@ -484,6 +487,26 @@ def test_coset_ring_nilpotent_index_matches_a_search(name):
         indices.append(expected)
     if name == "Z4[t]/(t^2+1)/(2)":
         assert sorted(indices, key=str) == [1, 2, None, None]
+
+
+class _CountingZMod(ZModRing):
+    """Z/N that counts its additions."""
+
+    adds = 0
+
+    def add(self, a, b):
+        self.adds += 1
+        return super().add(a, b)
+
+
+@pytest.mark.parametrize("n, values", [(4001, [2, 3]), (360, [8, 12, 90]), (360, [0, 45]), (12, [])])
+def test_coset_ring_additions_are_linear_in_the_ring(n, values):
+    # summing the ideals pairwise would make |R|^2 additions on Z/4001
+    R = _CountingZMod(n)
+    Q = CosetRing(R, values)
+    assert R.adds <= 2 * max(len(values), 1) * n
+    g = gcd(n, *values)
+    assert Q.size() == g and all(Q.canonicalize(a) == a % g for a in range(n))
 
 
 # ---------------------------------------------------------------------------
