@@ -223,6 +223,11 @@ def cmd_prismatic(args):
     rels = tuple(r.strip() for r in (args.relations or "").split(";") if r.strip())
     B = AffinePresentation(gens, rels)
     if args.witt_points:
+        context = (("--xi", args.xi is not None), ("--p", args.p is not None),
+                   ("--rational", args.rational))
+        given = [flag for flag, is_given in context if is_given]
+        if given:
+            raise UsageError(f"--witt-points reads no xi or local context, so not {', '.join(given)}")
         pts = witt_points(B, E, ring, cap=args.budget_enum)
         return {"count": len(pts), "points": [[w.to_json()["coords"] for w in p] for p in pts]}, 0
     xi = _vector(args, "xi", ring, E)

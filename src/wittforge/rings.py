@@ -143,14 +143,18 @@ class Ring:
         """
         self._unsupported("lift")
 
-    # The optional hook of a ring of fractions of a ring S: a method
-    # clear_denominators(*value_lists) -> (S, D, scale, unscale), where D is a
-    # positive integer that clears the denominators of all the values and,
-    # for k a multiple of D, scale(v, k) is k*v as a raw value of S and
-    # unscale(z, k) is z/k as a raw value here.  The Witt kernel then
-    # computes over S on Teichmuller multiples [D]x.  None on every other
-    # ring, whose values are computed on as they are; an attribute rather
-    # than a method answering None, so that asking costs no call.
+    # The optional hook of a Q-algebra with integral numerators, a ring of
+    # fractions of a ring S without additive torsion: Q of Z, Q[x^+-1] of
+    # Z[x^+-1], and Q[t]/(g) of Z[t]/(g) when the monic g has integer
+    # coefficients.  A callable clear_denominators(*value_lists) ->
+    # (S, D, scale, unscale), where D is a positive integer that clears the
+    # denominators of all the values and, for k a multiple of D, scale(v, k)
+    # is k*v as a raw value of S and unscale(z, k) is z/k as a raw value
+    # here.  The Witt kernel then computes over S on Teichmuller multiples
+    # [D]x; only its unit solve still computes here, in Fractions.  None on
+    # every other ring, whose values are computed on as they are; an
+    # attribute rather than a method answering None, so that asking costs
+    # no call.
     clear_denominators = None
 
     def quotient_by(self, values):
@@ -413,6 +417,28 @@ def _times(v: Fraction, k: int) -> int:
     return v.numerator * (k // v.denominator)
 
 
+def _times_terms(v, k: int) -> tuple:
+    """k*v for a polynomial v over Q and a multiple k of its denominators."""
+    return tuple([(e, _times(c, k)) for e, c in v])
+
+
+def _divided_terms(z, k: int) -> tuple:
+    """z/k for a polynomial z over Z, as a polynomial over Q."""
+    return tuple([(e, Fraction(c, k)) for e, c in z])
+
+
+def _clearing(S):
+    """Ring.clear_denominators of a polynomial or quotient ring over Q whose
+    values, coefficients times the lcm D of their denominators, are values of
+    S over Z in the same term order."""
+
+    def clear_denominators(*value_lists):
+        d = lcm(*(c.denominator for values in value_lists for v in values for _, c in v))
+        return S, d, _times_terms, _divided_terms
+
+    return clear_denominators
+
+
 class ZModRing(Ring):
     def __init__(self, n: int):
         if n < 2:
@@ -596,6 +622,8 @@ class PolyRing(Ring):
         self.variables = variables
         self.inverted = inverted
         self._inv_mask = tuple(v in inverted for v in variables)
+        if isinstance(base, RationalRing):
+            self.clear_denominators = _clearing(PolyRing(INTEGERS, variables, inverted))
 
     def descriptor(self):
         s = f"poly({self.base.descriptor()}; {','.join(self.variables)}"
@@ -799,6 +827,10 @@ class QuotientRing(Ring):
         self.relation = relation
         self.degree = deg
         self._g = _dense(poly.base, relation)  # the relation, dense
+        if isinstance(poly.base, RationalRing) and all(c.denominator == 1 for _, c in relation):
+            # Q[t]/(g) is a ring of fractions of Z[t]/(g), g read over Z
+            over_z = QuotientRing(PolyRing(INTEGERS, poly.variables), _times_terms(relation, 1))
+            self.clear_denominators = _clearing(over_z)
 
     def descriptor(self):
         return f"quot({self.poly.descriptor()}; {self.poly.el_to_str(self.relation)})"

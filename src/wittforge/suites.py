@@ -99,6 +99,19 @@ _RING_AXIOM_RINGS = (
 )
 
 
+# one failure label per ring axiom, in the order the axiom suites check them
+_AXIOM_LABELS = (
+    "add-associativity",
+    "mul-associativity",
+    "add-commutativity",
+    "mul-commutativity",
+    "distributivity",
+    "add-identity",
+    "mul-identity",
+    "additive-inverse",
+)
+
+
 def suite_ring_axioms(rep, rng):
     for ring in map(make_ring, _RING_AXIOM_RINGS):
         for _ in range(1000):
@@ -113,18 +126,19 @@ def suite_ring_axioms(rep, rng):
             ab_sum, bc_sum = ring.add(a, b), ring.add(b, c)
             ab_prod, bc_prod = ring.mul(a, b), ring.mul(b, c)
             a_canon = ring.canonicalize(a)
-            checks = [
+            checks = (
                 ring.add(ab_sum, c) == ring.add(a, bc_sum),
                 ring.mul(ab_prod, c) == ring.mul(a, bc_prod),
-                ab_prod == ring.mul(b, a),
                 ab_sum == ring.add(b, a),
+                ab_prod == ring.mul(b, a),
                 ring.mul(a, bc_sum) == ring.add(ab_prod, ring.mul(a, c)),
                 ring.add(a, zero) == a_canon,
                 ring.mul(a, one) == a_canon,
                 ring.add(a, ring.neg(a)) == zero,
-            ]
-            if not all(checks):
-                rep.fail("ring-axioms", f"{ring.descriptor()}: {ring.el_to_str(a)}")
+            )
+            for label, ok in zip(_AXIOM_LABELS, checks):
+                if not ok:
+                    rep.fail(label, f"{ring.descriptor()}: {ring.el_to_str(a)}")
             rep.cases += 1
         for _ in range(200):
             a = ring.elem(ring.random(rng))
@@ -161,7 +175,9 @@ def suite_witt_ring_axioms(rep, rng):
                 a, b, c = (random_witt(E, ring, rng) for _ in range(3))
                 ab_sum, bc_sum = a + b, b + c
                 ab_prod, bc_prod = a * b, b * c
-                checks = [
+                ga, gb = ghost_raw(a), ghost_raw(b)
+                gsum, gprod = ghost_raw(ab_sum), ghost_raw(ab_prod)
+                checks = (
                     ab_sum + c == a + bc_sum,
                     ab_prod * c == a * bc_prod,
                     ab_sum == b + a,
@@ -170,14 +186,12 @@ def suite_witt_ring_axioms(rep, rng):
                     a + zero == a,
                     a * one == a,
                     a - a == zero,
-                ]
-                ga, gb = ghost_raw(a), ghost_raw(b)
-                gsum, gprod = ghost_raw(ab_sum), ghost_raw(ab_prod)
-                for n in E:
-                    checks.append(gsum[n] == ring.add(ga[n], gb[n]))
-                    checks.append(gprod[n] == ring.mul(ga[n], gb[n]))
-                if not all(checks):
-                    rep.fail("witt-axioms", f"{rdesc} {edesc}: {a} {b} {c}")
+                    all(gsum[n] == ring.add(ga[n], gb[n]) for n in E),
+                    all(gprod[n] == ring.mul(ga[n], gb[n]) for n in E),
+                )
+                for label, ok in zip(_AXIOM_LABELS + ("ghost-add", "ghost-mul"), checks):
+                    if not ok:
+                        rep.fail(label, f"{rdesc} {edesc}: {a} {b} {c}")
                 rep.cases += 1
 
 

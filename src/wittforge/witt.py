@@ -16,18 +16,25 @@ divides by n exactly, checked by S.exact_div_int.  Every step is a plain
 ring operation, so there is no term cap; the universal polynomials of
 ``universal`` stay an independent cross-check in the tests.
 
-Over Q the kernel computes on integers (Ring.clear_denominators).  Ghost
-components are isobaric, so the Teichmuller multiple [D]x = (D^n x_n)_n has
-g_n([D]x) = D^n g_n(x).  With D the lcm of the operands' denominators, [D]x
-is integral, and [D]a o [D]b = [D](a o b) for o in {+, -}, [D^2](a b) for
-the product, -[D]a = [D](-a) and F_n([D]a) = [D^n] F_n(a): the plan runs
-over Z and each coordinate z_n of the result comes back as z_n / s^n, for
-s = D, D^2 or D^n.  ghost_raw reads g_n(x) = g_n([D]x) / D^n.  The public
-unghost of a rational ghost vector w takes D = lcm(denominators of w) times
-rad(lcm E).  Then [D]x is integral by Dwork's criterion: for a prime p and
-m with mp in E, p divides D, so D^m w_m and D^{mp} w_{mp} are both divisible
-by p^m, and p^m by p^{1 + v_p(m)}.  Every division of the integral unghost
-is therefore exact, and S.exact_div_int still raises if one is not.
+Over a Q-algebra with integral numerators -- Q, Q[x^+-1], or Q[t]/(g) with
+g monic over Z -- the kernel computes over Z, Z[x^+-1] or Z[t]/(g)
+(Ring.clear_denominators).  Ghost components are isobaric, so the
+Teichmuller multiple [D]x = (D^n x_n)_n has g_n([D]x) = D^n g_n(x).  With D
+the lcm of the operands' coefficient denominators, [D]x is integral, and
+[D]a o [D]b = [D](a o b) for o in {+, -}, [D^2](a b) for the product,
+-[D]a = [D](-a) and F_n([D]a) = [D^n] F_n(a): the plan runs over the
+integral ring and each coordinate z_n of the result comes back as z_n / s^n,
+for s = D, D^2 or D^n.  ghost_raw reads g_n(x) = g_n([D]x) / D^n.  The public
+unghost of a ghost vector w takes D = lcm(denominators of w) times
+rad(lcm E).  Then [D]x is integral: the universal unghost polynomial of x_n
+is isobaric of weight n with denominators dividing rad(n)^n, and D^n clears
+them, over Z as over any Z[x^+-1] or Z[t]/(g).  Over Z this is Dwork's
+criterion: for a prime p and m with mp in E, p divides D, so D^m w_m and
+D^{mp} w_{mp} are both divisible by p^m, and p^m by p^{1 + v_p(m)}.  Every
+division of the integral unghost is therefore exact, and S.exact_div_int
+still raises if one is not.  The unit solve (witt_solve_mul) still computes
+in Fractions over these rings; a quotient whose relation is not integral,
+such as Q[t]/(t^2 + 1/2), computes in Fractions throughout.
 """
 
 from __future__ import annotations

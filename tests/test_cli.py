@@ -395,13 +395,13 @@ def test_generation_error_exit_code(capsys, monkeypatch):
     assert code == 2 and out == "" and err == "error: NotMaterialized: not expanded\n"
 
 
+WITT_POINTS = ["prismatic", "--ring", "zmod:2", "--index-set", "div:2", "--gens", "x",
+               "--relations", "1*x^2+-1*x", "--witt-points"]
+
+
 def test_witt_points_need_no_xi(capsys):
     # the J(X) points of Spec Z[x]/(x^2 - x): the idempotents of W_{1,2}(Z/2)
-    code, out, _ = run_cli(
-        ["prismatic", "--ring", "zmod:2", "--index-set", "div:2", "--gens", "x",
-         "--relations", "1*x^2+-1*x", "--witt-points"],
-        capsys,
-    )
+    code, out, _ = run_cli(WITT_POINTS, capsys)
     assert code == 0
     assert out == '{"count":2,"points":[[{"1":"0","2":"0"}],[{"1":"1","2":"0"}]]}\n'
 
@@ -517,45 +517,55 @@ def test_bad_index_set_exit_code(capsys):
     assert code == 2 and "error" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["witt", "add", "--ring", "rationals", "--index-set", "div:2",
-         "--a", "1/0,1", "--b", "1,1"],
-        ["witt", "add", "--ring", "poly(rationals; x)", "--index-set", "div:2",
-         "--a", "1/0*x,1", "--b", "1,1"],
-        *REMOVED_SPELLINGS,
-        # a base that is no ring descriptor; a d-value that is no ring element
-        ["cone", "--base", "5", "--d", "1"],
-        ["cone", "--base", "integers", "--d", "x"],
-        ["rees", "--step", "3,x"],
-        ["rees", "--step", "2,-1"],
-        ["rees", "--step", "-1"],
-        # argparse's own errors: an unknown option, a missing required option
-        ["witt", "add", "--ring", "integers", "--index-set", "div:2", "--a", "1,0", "--b", "1,0",
-         "--bogus"],
-        ["witt", "add", "--ring", "integers", "--a", "1,0", "--b", "1,0"],
-        # refused by the morphism budget: 512 objects over W_{div:2}(Z/4)
-        ["prismatic", "--ring", "zmod:4", "--index-set", "div:2", "--xi", "2,3", "--p", "2",
-         "--gens", "x,y", "--relations", "1*x*y"],
-        # V_4 has no source over div:6: 4 is not in the index set
-        ["verschiebung", "--n", "4", "--ring", "integers", "--index-set", "div:6", "--a", "1,2"],
-        # d = 0: Hom(r, r) is the whole ring, which is not listed
-        ["cone", "--base", "integers", "--d", "0", "--hom", "0", "0"],
-        ["cone", "--base", "rationals", "--d", "0", "--hom", "1/2", "1/2"],
-        # --base and --d are both required, and only the whole --d "" is the zero module
-        ["cone", "--base", "zmod:4"],
-        ["cone", "--d", "2"],
-        ["cone", "--base", "zmod:4", "--d", "2,"],
-        # one local context: a prime or all primes inverted, never both
-        ["decompose", "--ring", "zmod:9", "--index-set", "div:6", "--a", "1,0,0,0",
-         "--p", "3", "--rational"],
-    ],
-)
-def test_malformed_input_exit_code(argv, capsys):
+MALFORMED = [
+    (["witt", "add", "--ring", "rationals", "--index-set", "div:2",
+      "--a", "1/0,1", "--b", "1,1"], "ParseError"),
+    (["witt", "add", "--ring", "poly(rationals; x)", "--index-set", "div:2",
+      "--a", "1/0*x,1", "--b", "1,1"], "ParseError"),
+    *((argv, "UsageError") for argv in REMOVED_SPELLINGS),
+    # a base that is no ring descriptor; a d-value that is no ring element
+    (["cone", "--base", "5", "--d", "1"], "ParseError"),
+    (["cone", "--base", "integers", "--d", "x"], "ParseError"),
+    (["rees", "--step", "3,x"], "UsageError"),
+    (["rees", "--step", "2,-1"], "UsageError"),
+    (["rees", "--step", "-1"], "UsageError"),
+    # argparse's own errors: an unknown option, a missing required option
+    (["witt", "add", "--ring", "integers", "--index-set", "div:2", "--a", "1,0", "--b", "1,0",
+      "--bogus"], "UsageError"),
+    (["witt", "add", "--ring", "integers", "--a", "1,0", "--b", "1,0"], "UsageError"),
+    # refused by the morphism budget: 512 objects over W_{div:2}(Z/4)
+    (["prismatic", "--ring", "zmod:4", "--index-set", "div:2", "--xi", "2,3", "--p", "2",
+      "--gens", "x,y", "--relations", "1*x*y"], "EnumerationBudget"),
+    # V_4 has no source over div:6: 4 is not in the index set
+    (["verschiebung", "--n", "4", "--ring", "integers", "--index-set", "div:6", "--a", "1,2"],
+     "IndexSetError"),
+    # d = 0: Hom(r, r) is the whole ring, which is not listed
+    (["cone", "--base", "integers", "--d", "0", "--hom", "0", "0"], "UnsupportedRing"),
+    (["cone", "--base", "rationals", "--d", "0", "--hom", "1/2", "1/2"], "UnsupportedRing"),
+    # --base and --d are both required, and only the whole --d "" is the zero module
+    (["cone", "--base", "zmod:4"], "UsageError"),
+    (["cone", "--d", "2"], "UsageError"),
+    (["cone", "--base", "zmod:4", "--d", "2,"], "ParseError"),
+    # one local context: a prime or all primes inverted, never both
+    (["decompose", "--ring", "zmod:9", "--index-set", "div:6", "--a", "1,0,0,0",
+      "--p", "3", "--rational"], "UsageError"),
+    # --witt-points reads no xi and no local context, so it takes neither
+    (WITT_POINTS + ["--xi", "5,5,5", "--p", "4"], "UsageError"),
+    (WITT_POINTS + ["--rational"], "UsageError"),
+]
+
+
+@pytest.mark.parametrize("argv, error", MALFORMED,
+                         ids=[f"argv{i}" for i in range(len(MALFORMED))])
+def test_malformed_input_exit_code(argv, error, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
+
+
+def test_witt_points_names_every_option_it_refuses(capsys):
+    code, _, err = run_cli(WITT_POINTS + ["--p", "2", "--xi", "1,0"], capsys)
+    assert code == 2 and err.endswith("so not --xi, --p\n")
 
 
 def test_cone_witness_output(capsys):

@@ -1,9 +1,11 @@
 """Exact Q arithmetic on integers, against plain Fraction slow paths.
 
-The Witt kernel computes over Q on Teichmuller multiples [D]x, and the
+The Witt kernel computes over Q, Q[x^+-1] and Q[t]/(g) with g monic over Z
+on Teichmuller multiples [D]x over Z, Z[x^+-1] and Z[t]/(g), and the
 linear-algebra core eliminates on integer rows.  The oracles here are the
-textbook Fraction computations they replaced: ghost components and the
-level-by-level unghost over Q, and Gauss-Jordan over Q.
+textbook Fraction computations they replaced: ghost components, the
+level-by-level unghost and the unit inverse through inverted ghosts over
+these Q-algebras, and Gauss-Jordan over Q.
 """
 
 from fractions import Fraction
@@ -14,7 +16,8 @@ from wittforge.cli import main
 from wittforge.filtration import Subspace, matrix_rank, rref
 from wittforge.indexset import index_set_make
 from wittforge.numutil import divisors
-from wittforge.rings import RATIONALS
+from wittforge import rings
+from wittforge.rings import RATIONALS, make_ring
 from wittforge.witt import (
     WittRing,
     WittVector,
@@ -25,6 +28,7 @@ from wittforge.witt import (
     witt_mul,
     witt_neg,
     witt_sub,
+    witt_unit_inverse,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -46,26 +50,37 @@ rationals = st.one_of(
 # slow paths: Fraction arithmetic, as in the textbook
 
 
-def slow_ghost(E, xs):
-    x = dict(zip(E, xs))
-    return [sum(d * x[d] ** (n // d) for d in divisors(n) if d in x) for n in E]
+def slow_ghost(E, xs, ring=RATIONALS):
+    """g_n = sum over d | n of d * x_d^(n/d), in the ring's own Fraction arithmetic."""
+    x = dict(zip(E, map(ring.canonicalize, xs)))
+    out = []
+    for n in E:
+        g = ring.zero()
+        for d in divisors(n):
+            g = ring.add(g, ring.mul(ring.from_int(d), ring.pow(x[d], n // d)))
+        out.append(g)
+    return out
 
 
-def slow_unghost(E, ws):
+def slow_unghost(E, ws, ring=RATIONALS):
+    """x_n = (w_n - sum over d | n, d < n of d * x_d^(n/d)) / n, level by level."""
     x = {}
     for n, w in zip(E, ws):
-        x[n] = (Fraction(w) - sum(d * x[d] ** (n // d) for d in divisors(n) if d < n)) / n
+        acc = ring.canonicalize(w)
+        for d in divisors(n):
+            if d < n:
+                acc = ring.sub(acc, ring.mul(ring.from_int(d), ring.pow(x[d], n // d)))
+        x[n] = ring.exact_div_int(acc, n)
     return [x[n] for n in E]
 
 
-def slow_op(op, E, *vectors):
-    ghosts = [slow_ghost(E, v) for v in vectors]
+def slow_op(op, E, *vectors, ring=RATIONALS):
+    ghosts = [slow_ghost(E, v, ring) for v in vectors]
     if op == "neg":
-        w = [-g for g in ghosts[0]]
+        w = list(map(ring.neg, ghosts[0]))
     else:
-        f = {"add": Fraction.__add__, "sub": Fraction.__sub__, "mul": Fraction.__mul__}[op]
-        w = [f(Fraction(g), Fraction(h)) for g, h in zip(*ghosts)]
-    return slow_unghost(E, w)
+        w = list(map(getattr(ring, op), *ghosts))
+    return slow_unghost(E, w, ring)
 
 
 def slow_rref(rows):
@@ -162,6 +177,163 @@ def test_witt_vectors_over_q_stay_torsion_free():
     assert R._torsion_free() and R.lift()[0] is R
     a = (Fraction(1, 2), Fraction(-3, 4))
     assert R.exact_div_int(R.mul(R.from_int(3), a), 3) == a
+
+
+# ---------------------------------------------------------------------------
+# the Witt kernel over polynomial and quotient rings over Q
+
+# poly(rationals; x; inv x) and poly(rationals; x,y) compute over Z[x^+-1]
+# and Z[x,y]; the quotients by t^3, t^2+1 and t^2-2 (which has no Frobenius
+# lift) over Z[t]/(g); t^2+1/2 is not integral, so that ring stays on Fractions
+Q_ALGEBRAS = (
+    "poly(rationals; x; inv x)",
+    "poly(rationals; x,y)",
+    "quot(poly(rationals; t); 1*t^3)",
+    "quot(poly(rationals; t); 1*t^2+1)",
+    "quot(poly(rationals; t); 1*t^2+-2)",
+    "quot(poly(rationals; t); 1*t^2+1/2)",
+)
+ALGEBRA_SETS = ("div:6", "ptyp:2:3", "div:12", "ptyp:3:2")
+ALGEBRA_SETTINGS = hypothesis.settings(
+    max_examples=16, deadline=None, derandomize=True, database=None
+)
+
+# primes past 10^9: the denominators of different coefficients stay coprime
+BIG_PRIMES = (1_000_000_007, 1_000_000_009, 998_244_353, 2_147_483_647)
+coefficients = st.one_of(
+    rationals,
+    st.builds(Fraction, st.integers(-(10**20), 10**20), st.sampled_from(BIG_PRIMES)),
+)
+
+
+over_each_algebra = pytest.mark.parametrize("descriptor", Q_ALGEBRAS)
+
+
+def algebra_values(ring, max_terms=3):
+    """Sums of up to max_terms monomials: Laurent exponents where a variable
+    is inverted, and past the relation's degree in a quotient."""
+    poly = getattr(ring, "poly", ring)
+    low = [-2 if v in poly.inverted else 0 for v in poly.variables]
+    exps = st.tuples(*(st.integers(lo, 3) for lo in low))
+    terms = st.lists(st.tuples(exps, coefficients), max_size=max_terms)
+    return terms.map(lambda ts: ring.canonicalize(tuple(ts)))
+
+
+@st.composite
+def algebra_vectors(draw, ring, sets=ALGEBRA_SETS, count=2):
+    E = index_set_make(draw(st.sampled_from(sets)))
+    # one term a coordinate past four levels, so that x_1^12 stays small
+    values = algebra_values(ring, 3 if len(E) <= 4 else 1)
+    vectors = [draw(st.lists(values, min_size=len(E), max_size=len(E))) for _ in range(count)]
+    return E, vectors
+
+
+def _fractions(values):
+    """Every coefficient of every value is a Fraction, as the ring keeps them."""
+    return all(type(c) is Fraction for v in values for _, c in v)
+
+
+def test_which_q_algebras_compute_on_integers():
+    cleared = {d: make_ring(d).clear_denominators is not None for d in Q_ALGEBRAS}
+    assert cleared == dict.fromkeys(Q_ALGEBRAS[:-1], True) | {Q_ALGEBRAS[-1]: False}
+    v = (((0,), Fraction(1, 6)), ((2,), Fraction(-3, 4)))
+    S, D, scale, unscale = make_ring(Q_ALGEBRAS[2]).clear_denominators([v], [])
+    assert S.descriptor() == "quot(poly(integers; t); 1*t^3)" and D == 12
+    assert scale(v, 24) == (((0,), 4), ((2,), -18)) and unscale(scale(v, 24), 24) == v
+
+
+@over_each_algebra
+@ALGEBRA_SETTINGS
+@hypothesis.given(data=st.data())
+def test_algebra_operations_match_fraction_ghosts(descriptor, data):
+    ring = make_ring(descriptor)
+    E, (a, b) = data.draw(algebra_vectors(ring))
+    A, B = WittVector(E, ring, tuple(a)), WittVector(E, ring, tuple(b))
+    for op, fn in (("add", witt_add), ("sub", witt_sub), ("mul", witt_mul)):
+        out = fn(A, B).coords
+        assert list(out) == slow_op(op, E, a, b, ring=ring), op
+        assert _fractions(out)
+    assert list(witt_neg(A).coords) == slow_op("neg", E, a, ring=ring)
+
+
+@over_each_algebra
+@ALGEBRA_SETTINGS
+@hypothesis.given(data=st.data())
+def test_algebra_ghosts_and_every_frobenius_match(descriptor, data):
+    ring = make_ring(descriptor)
+    E, (a,) = data.draw(algebra_vectors(ring, count=1))
+    A = WittVector(E, ring, tuple(a))
+    g = slow_ghost(E, a, ring)
+    got = ghost_raw(A)
+    assert [got[n] for n in E] == g and _fractions(got.values())
+    for n in E:
+        target = E.restrict(n)
+        expected = slow_unghost(target, [g[E.position(n * d)] for d in target], ring)
+        out = frobenius(n, A)
+        assert out.index_set == target and list(out.coords) == expected, n
+        assert _fractions(out.coords)
+
+
+@over_each_algebra
+@ALGEBRA_SETTINGS
+@hypothesis.given(data=st.data())
+def test_algebra_unghost_matches_the_level_by_level_division(descriptor, data):
+    ring = make_ring(descriptor)
+    sets = ALGEBRA_SETS + ("ptyp:2:5", "div:24")
+    E, (w,) = data.draw(algebra_vectors(ring, sets, count=1))
+    out = unghost(dict(zip(E, w)), E, ring)
+    assert list(out.coords) == slow_unghost(E, w, ring)
+    assert _fractions(out.coords)
+
+
+def _slow_unit_inverse(ring, E, a):
+    """The inverse through the ghosts: unghost of (1/g_n(a))_n, or None."""
+    inverses = [ring.unit_inverse(g) for g in slow_ghost(E, a, ring)]
+    return None if None in inverses else slow_unghost(E, inverses, ring)
+
+
+@over_each_algebra
+@ALGEBRA_SETTINGS
+@hypothesis.given(data=st.data())
+def test_algebra_unit_inverse_matches_inverted_ghosts(descriptor, data):
+    ring = make_ring(descriptor)
+    E, (a,) = data.draw(algebra_vectors(ring, count=1))
+    # and a unit: the unghost of ghosts that are unit monomials c*x^k
+    poly = getattr(ring, "poly", ring)
+    exps = st.tuples(*(st.integers(-2, 2) if v in poly.inverted else st.just(0)
+                       for v in poly.variables))
+    monomials = st.tuples(exps, coefficients.filter(bool)).map(lambda t: ring.canonicalize((t,)))
+    unit = slow_unghost(E, data.draw(st.lists(monomials, min_size=len(E), max_size=len(E))), ring)
+    assert _slow_unit_inverse(ring, E, unit) is not None
+    for x in (a, unit):
+        inv = witt_unit_inverse(WittVector(E, ring, tuple(x)))
+        assert (inv if inv is None else list(inv.coords)) == _slow_unit_inverse(ring, E, x)
+
+
+def test_a_laurent_product_does_no_arithmetic_over_q(monkeypatch):
+    # the whole product runs over Z[x^+-1]: no mul over Q or a ring over Q
+    ring = make_ring("poly(rationals; x; inv x)")
+    calls = []
+
+    def counting(cls):
+        mul = cls.mul
+
+        def counted(self, a, b):
+            if RATIONALS in (self, getattr(self, "base", None)):
+                calls.append(self)
+            return mul(self, a, b)
+
+        monkeypatch.setattr(cls, "mul", counted)
+
+    E = index_set_make("div:6")
+    a = [ring.el_from_str(s) for s in ("1/2*x^-1+3/7*x^2", "-5/3", "2/9*x", "1/11*x^-2")]
+    b = [ring.el_from_str(s) for s in ("4/5*x", "1/13+x", "0", "-7/2*x^3")]
+    counting(rings.PolyRing)
+    counting(rings.RationalRing)
+    out = witt_mul(WittVector(E, ring, tuple(a)), WittVector(E, ring, tuple(b)))
+    assert calls == []
+    monkeypatch.undo()
+    assert list(out.coords) == slow_op("mul", E, a, b, ring=ring)
 
 
 # ---------------------------------------------------------------------------

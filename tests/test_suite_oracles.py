@@ -1,8 +1,9 @@
 """The axiom and operator suites against the formulations they replaced.
 
 witt-ring-axioms, witt-operators and ring-axioms compute each sum, product
-and Frobenius image a draw needs once and let every check read it.  The
-oracles below recompute each value where a check uses it.  Under planted
+and Frobenius image a draw needs once and let every check read it, and
+report each failed axiom under its own label.  The oracles below recompute
+each value where a check uses it and spell the labels out.  Under planted
 faults in the kernel and in a ring, both must report the same cases and the
 same failures, in the same order.  A second guard counts the kernel calls of
 one seed, so that recomputation cannot come back unnoticed.
@@ -41,17 +42,21 @@ def oracle_ring_axioms(rep, rng):
         for _ in range(500):
             a, b, c = (ring.random(rng) for _ in range(3))
             checks = [
-                ring.add(ring.add(a, b), c) == ring.add(a, ring.add(b, c)),
-                ring.mul(ring.mul(a, b), c) == ring.mul(a, ring.mul(b, c)),
-                ring.mul(a, b) == ring.mul(b, a),
-                ring.add(a, b) == ring.add(b, a),
-                ring.mul(a, ring.add(b, c)) == ring.add(ring.mul(a, b), ring.mul(a, c)),
-                ring.add(a, zero) == ring.canonicalize(a),
-                ring.mul(a, one) == ring.canonicalize(a),
-                ring.add(a, ring.neg(a)) == zero,
+                ("add-associativity",
+                 ring.add(ring.add(a, b), c) == ring.add(a, ring.add(b, c))),
+                ("mul-associativity",
+                 ring.mul(ring.mul(a, b), c) == ring.mul(a, ring.mul(b, c))),
+                ("add-commutativity", ring.add(a, b) == ring.add(b, a)),
+                ("mul-commutativity", ring.mul(a, b) == ring.mul(b, a)),
+                ("distributivity",
+                 ring.mul(a, ring.add(b, c)) == ring.add(ring.mul(a, b), ring.mul(a, c))),
+                ("add-identity", ring.add(a, zero) == ring.canonicalize(a)),
+                ("mul-identity", ring.mul(a, one) == ring.canonicalize(a)),
+                ("additive-inverse", ring.add(a, ring.neg(a)) == zero),
             ]
-            if not all(checks):
-                rep.fail("ring-axioms", f"{ring.descriptor()}: {ring.el_to_str(a)}")
+            for label, ok in checks:
+                if not ok:
+                    rep.fail(label, f"{ring.descriptor()}: {ring.el_to_str(a)}")
             rep.cases += 1
         for _ in range(200):
             a = ring.elem(ring.random(rng))
@@ -78,23 +83,23 @@ def oracle_witt_ring_axioms(rep, rng):
             zero = witt_zero(E, ring)
             for _ in range(200):
                 a, b, c = (random_witt(E, ring, rng) for _ in range(3))
-                checks = [
-                    (a + b) + c == a + (b + c),
-                    (a * b) * c == a * (b * c),
-                    a + b == b + a,
-                    a * b == b * a,
-                    a * (b + c) == a * b + a * c,
-                    a + zero == a,
-                    a * one == a,
-                    a - a == zero,
-                ]
                 ga, gb = ghost_raw(a), ghost_raw(b)
                 gsum, gprod = ghost_raw(a + b), ghost_raw(a * b)
-                for n in E:
-                    checks.append(gsum[n] == ring.add(ga[n], gb[n]))
-                    checks.append(gprod[n] == ring.mul(ga[n], gb[n]))
-                if not all(checks):
-                    rep.fail("witt-axioms", f"{rdesc} {edesc}: {a} {b} {c}")
+                checks = [
+                    ("add-associativity", (a + b) + c == a + (b + c)),
+                    ("mul-associativity", (a * b) * c == a * (b * c)),
+                    ("add-commutativity", a + b == b + a),
+                    ("mul-commutativity", a * b == b * a),
+                    ("distributivity", a * (b + c) == a * b + a * c),
+                    ("add-identity", a + zero == a),
+                    ("mul-identity", a * one == a),
+                    ("additive-inverse", a - a == zero),
+                    ("ghost-add", all(gsum[n] == ring.add(ga[n], gb[n]) for n in E)),
+                    ("ghost-mul", all(gprod[n] == ring.mul(ga[n], gb[n]) for n in E)),
+                ]
+                for label, ok in checks:
+                    if not ok:
+                        rep.fail(label, f"{rdesc} {edesc}: {a} {b} {c}")
                 rep.cases += 1
 
 
@@ -192,6 +197,20 @@ def _odd_product_is_off_by_one(monkeypatch):
     return ("witt-ring-axioms", "witt-operators")
 
 
+def _witt_mul_is_not_commutative(monkeypatch):
+    """a*b gains 1 unless a <= b as coordinate tuples."""
+    mul = witt.witt_mul
+
+    def faulty(a, b):
+        ab = mul(a, b)
+        return ab if a.coords <= b.coords else _plus_one(ab)
+
+    _replace(monkeypatch, witt, "witt_mul", faulty)
+    monkeypatch.setattr(suites, "_AXIOM_RINGS", ("zmod:4",))
+    monkeypatch.setattr(suites, "_AXIOM_SETS", ("div:6",))
+    return ("witt-ring-axioms",)
+
+
 def _frobenius_3_is_off_by_one(monkeypatch):
     """F_3 adds 1 when the last coordinate is odd."""
     frob = witt.frobenius
@@ -220,7 +239,8 @@ def _poly_xy_mul_is_not_commutative(monkeypatch):
 
 @pytest.mark.parametrize(
     "plant",
-    [_odd_product_is_off_by_one, _frobenius_3_is_off_by_one, _poly_xy_mul_is_not_commutative],
+    [_odd_product_is_off_by_one, _witt_mul_is_not_commutative, _frobenius_3_is_off_by_one,
+     _poly_xy_mul_is_not_commutative],
 )
 def test_a_planted_fault_reads_the_same_in_suite_and_oracle(monkeypatch, plant):
     for name in plant(monkeypatch):
@@ -229,6 +249,17 @@ def test_a_planted_fault_reads_the_same_in_suite_and_oracle(monkeypatch, plant):
         ORACLES[name](expected, _rng(5, name))
         assert rep.failures, name
         assert rep.to_json() == expected.to_json(), name
+
+
+@pytest.mark.parametrize("plant, name, label", [
+    (_witt_mul_is_not_commutative, "witt-ring-axioms", "mul-commutativity"),
+    (_odd_product_is_off_by_one, "witt-ring-axioms", "ghost-mul"),
+    (_poly_xy_mul_is_not_commutative, "ring-axioms", "mul-commutativity"),
+])
+def test_a_broken_axiom_fails_under_its_own_label(monkeypatch, plant, name, label):
+    plant(monkeypatch)
+    labels = {f["case"] for f in suite_run(name, 5).failures}
+    assert label in labels and not labels & {"ring-axioms", "witt-axioms"}
 
 
 def _counting(monkeypatch, counts):
