@@ -27,7 +27,7 @@ from .filtration import (
     step_filtration,
 )
 from .indexset import index_set_make
-from .numutil import WittforgeError
+from .numutil import WittforgeError, integer
 from .prismatic import (
     AffinePresentation,
     PrismaticContext,
@@ -70,7 +70,7 @@ def _emit(obj, args) -> None:
 def _budget(text):
     """A --budget-enum value: a non-negative integer."""
     try:
-        value = int(text)
+        value = integer(text)
     except ValueError:
         value = None
     if value is None or value < 0:
@@ -189,7 +189,7 @@ def cmd_rees(args):
         M = filtered_line(args.line)
     elif args.step:
         try:
-            dims = [int(x) for x in args.step.split(",")]
+            dims = [integer(x) for x in args.step.split(",")]
         except ValueError:
             raise UsageError(f"--step needs comma separated integers, not {args.step!r}") from None
         if any(d < 0 for d in dims):
@@ -217,25 +217,26 @@ def cmd_derham(args):
     return hodge_cohomology(MonomialAlgebra(args.torus, args.affine)).to_json(), 0
 
 
-def cmd_prismatic(args):
-    ring, E = _ring_and_set(args)
+def _presentation(args):
     gens = tuple(g.strip() for g in args.gens.split(",") if g.strip())
     rels = tuple(r.strip() for r in (args.relations or "").split(";") if r.strip())
-    B = AffinePresentation(gens, rels)
-    if args.witt_points:
-        context = (("--xi", args.xi is not None), ("--p", args.p is not None),
-                   ("--rational", args.rational))
-        given = [flag for flag, is_given in context if is_given]
-        if given:
-            raise UsageError(f"--witt-points reads no xi or local context, so not {', '.join(given)}")
-        pts = witt_points(B, E, ring, cap=args.budget_enum)
-        return {"count": len(pts), "points": [[w.to_json()["coords"] for w in p] for p in pts]}, 0
+    return AffinePresentation(gens, rels)
+
+
+def cmd_prismatic(args):
+    ring, E = _ring_and_set(args)
     xi = _vector(args, "xi", ring, E)
     ctx = PrismaticContext(ring, E, xi, _local_context(args, ring, E))
-    gpd = prismatic_points_affine(B, ctx, cap=args.budget_enum)
+    gpd = prismatic_points_affine(_presentation(args), ctx, cap=args.budget_enum)
     out = gpd.to_json()
     out["axioms"] = gpd.check_axioms()
     return out, 0 if out["axioms"] else 1
+
+
+def cmd_witt_points(args):
+    ring, E = _ring_and_set(args)
+    pts = witt_points(_presentation(args), E, ring, cap=args.budget_enum)
+    return {"count": len(pts), "points": [[w.to_json()["coords"] for w in p] for p in pts]}, 0
 
 
 def _usable_cpus() -> int:
@@ -270,14 +271,14 @@ def cmd_verify(args):
 
 def build_parser():
     parser = _Parser(
-        prog="wittforge",
+        prog="wittforge", allow_abbrev=False,  # an option has one spelling: its full name
         description="Exact Witt vector calculus, cones, Rees filtrations, "
         "de Rham cohomology of monomial algebras, and prismatic point groupoids.",
     )
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def command(name, fn, help):
-        sp = subs.add_parser(name, help=help)
+        sp = subs.add_parser(name, help=help, allow_abbrev=False)
         sp.set_defaults(fn=fn)
         return sp
 
@@ -287,9 +288,14 @@ def build_parser():
         for v in vectors:
             sp.add_argument(f"--{v}", help=f"coordinates of {v}, comma separated")
 
+    def presentation_args(sp):
+        sp.add_argument("--gens", required=True, help="generator names, comma separated")
+        sp.add_argument("--relations", default="", help="relations, semicolon separated")
+        sp.add_argument("--budget-enum", type=_budget, default=ENUM_CAP)
+
     def context_args(sp):
         group = sp.add_mutually_exclusive_group()
-        group.add_argument("--p", type=int, default=None, help="the non-inverted prime")
+        group.add_argument("--p", type=integer, default=None, help="the non-inverted prime")
         group.add_argument("--rational", action="store_true", help="all primes invertible")
 
     sp = command("witt", cmd_witt, "Witt vector arithmetic")
@@ -299,11 +305,11 @@ def build_parser():
     witt_args(command("ghost", cmd_ghost, "ghost components"))
 
     sp = command("frobenius", cmd_frobenius, "Frobenius F_n")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=integer, required=True)
     witt_args(sp)
 
     sp = command("verschiebung", cmd_verschiebung, "Verschiebung V_n into W_E")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=integer, required=True)
     sp.add_argument("--ring", required=True)
     sp.add_argument("--index-set", required=True, help="the target index set E")
     sp.add_argument("--a", required=True, help="coordinates over E|n")
@@ -328,25 +334,26 @@ def build_parser():
     sp.add_argument("--hom", nargs=2, metavar=("R1", "R2"), default=None)
 
     sp = command("rees", cmd_rees, "Rees module of a step filtration")
-    sp.add_argument("--line", type=int, default=None, help="the filtered line Q{n}")
+    sp.add_argument("--line", type=integer, default=None, help="the filtered line Q{n}")
     sp.add_argument("--step", default=None, help="decreasing dimensions d0,d1,...")
-    sp.add_argument("--start", type=int, default=0)
+    sp.add_argument("--start", type=integer, default=0)
 
     sp = command("derham", cmd_derham, "Hodge-filtered de Rham cohomology")
-    sp.add_argument("--torus", type=int, required=True)
-    sp.add_argument("--affine", type=int, required=True)
+    sp.add_argument("--torus", type=integer, required=True)
+    sp.add_argument("--affine", type=integer, required=True)
 
-    sp = command("prismatic", cmd_prismatic, "prismatic point groupoids / J(X) points")
+    sp = command("prismatic", cmd_prismatic, "prismatic point groupoids")
     witt_args(sp, ("xi",))
     context_args(sp)
-    sp.add_argument("--gens", required=True, help="generator names, comma separated")
-    sp.add_argument("--relations", default="", help="relations, semicolon separated")
-    sp.add_argument("--witt-points", action="store_true", help="points in W instead")
-    sp.add_argument("--budget-enum", type=_budget, default=ENUM_CAP)
+    presentation_args(sp)
+
+    sp = command("witt-points", cmd_witt_points, "J(X) points: ring maps into W_E(R)")
+    witt_args(sp, ())
+    presentation_args(sp)
 
     sp = command("verify", cmd_verify, "run the verification suites")
     sp.add_argument("--suite", default="all")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=integer, default=0)
     sp.add_argument("--list", action="store_true", help="print the coverage map")
     sp.add_argument("--timings", action="store_true", help="include wall times")
 

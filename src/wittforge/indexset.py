@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .numutil import WittforgeError, divisors, factorize, is_prime
+from .numutil import WittforgeError, divisors, factorize, integer, is_prime
 
 
 class IndexSetError(WittforgeError, ValueError):
@@ -125,14 +125,14 @@ def index_set_make(spec: str) -> IndexSet:
     spec = spec.strip()
     try:
         if spec.startswith("div:"):
-            return IndexSet.divisors_of(int(spec[4:]))
+            return IndexSet.divisors_of(integer(spec[4:]))
         if spec.startswith("ptyp:"):
             parts = spec[5:].split(":")
             if len(parts) != 2:
                 raise IndexSetError(f"bad p-typical spec {spec!r}")
-            return IndexSet.p_typical(int(parts[0]), int(parts[1]))
+            return IndexSet.p_typical(integer(parts[0]), integer(parts[1]))
         if spec.startswith("set:"):
-            return IndexSet.explicit(int(x) for x in spec[4:].split(",") if x.strip())
+            return IndexSet.explicit(integer(x) for x in spec[4:].split(",") if x.strip())
     except ValueError as e:
         raise IndexSetError(f"bad index set spec {spec!r}: {e}") from e
     raise IndexSetError(f"unrecognized index set spec {spec!r}")

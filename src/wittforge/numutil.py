@@ -3,10 +3,24 @@
 from __future__ import annotations
 
 import math
+import re
 
 
 class WittforgeError(Exception):
     """The root of every error the library raises on purpose."""
+
+
+# A numeral is 0, or an optional - and ASCII digits with no leading zero; a fraction
+# is a numeral, /, and a positive numeral.  Every parser reads numbers by these.
+NUMERAL = "(?:0|-?[1-9][0-9]*)"
+FRACTION = f"{NUMERAL}(?:/[1-9][0-9]*)?"
+
+
+def integer(text: str) -> int:
+    """The integer a numeral spells, whitespace around it aside; ValueError otherwise."""
+    if not re.fullmatch(NUMERAL, text.strip()):
+        raise ValueError(f"not a numeral: {text!r}")
+    return int(text)
 
 
 def factorize(n: int) -> dict[int, int]:

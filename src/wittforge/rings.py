@@ -20,7 +20,7 @@ from itertools import product as iter_product
 from math import gcd, lcm
 from operator import add as _add
 
-from .numutil import WittforgeError, crt_pair, factorize, inverse_mod, is_prime
+from .numutil import FRACTION, NUMERAL, WittforgeError, crt_pair, factorize, inverse_mod, is_prime
 
 
 class RingError(WittforgeError):
@@ -57,8 +57,9 @@ def _same(a):
 
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
-_INT_RE = re.compile(r"^-?\d+$")
-_FRAC_RE = re.compile(r"^-?\d+(/\d+)?$")
+_INT_RE = re.compile(NUMERAL)
+_FRAC_RE = re.compile(FRACTION)
+_DIFFERENCE_RE = re.compile(r"([A-Za-z_0-9])-")  # a minus after a name or a numeral
 
 
 class Ring:
@@ -358,7 +359,7 @@ class IntegerRing(_NumberRing):
 
     def el_from_str(self, s):
         s = s.strip()
-        if not _INT_RE.match(s):
+        if not _INT_RE.fullmatch(s):
             raise ParseError(f"bad integer literal {s!r}")
         return int(s)
 
@@ -404,12 +405,9 @@ class RationalRing(_NumberRing):
 
     def el_from_str(self, s):
         s = s.strip()
-        if not _FRAC_RE.match(s):
+        if not _FRAC_RE.fullmatch(s):
             raise ParseError(f"bad rational literal {s!r}")
-        try:
-            return Fraction(s)
-        except ZeroDivisionError:
-            raise ParseError(f"zero denominator in {s!r}") from None
+        return Fraction(s)
 
 
 def _times(v: Fraction, k: int) -> int:
@@ -500,7 +498,7 @@ class ZModRing(Ring):
 
     def el_from_str(self, s):
         s = s.strip()
-        if not _INT_RE.match(s):
+        if not _INT_RE.fullmatch(s):
             raise ParseError(f"bad residue literal {s!r}")
         return int(s) % self.n
 
@@ -766,7 +764,9 @@ class PolyRing(Ring):
         s = s.replace(" ", "")
         if not s:
             raise ParseError("empty polynomial")
-        # split on '+' but keep '-' attached to the following term
+        if _DIFFERENCE_RE.search(s):
+            sum_form = _DIFFERENCE_RE.sub(r"\1+-", s)
+            raise ParseError(f"a polynomial is a sum of terms: {sum_form!r}, not {s!r}")
         terms = s.split("+")
         if "" in terms:
             raise ParseError(f"bad polynomial {s!r}")
@@ -784,12 +784,12 @@ class PolyRing(Ring):
         for factor in term.split("*"):
             if not factor:
                 raise ParseError(f"bad term {term!r}")
-            if factor[0].isdigit():
+            if "0" <= factor[0] <= "9":  # a coefficient, which the base ring reads
                 coeff = self.base.mul(coeff, self.base.el_from_str(factor))
                 continue
             if "^" in factor:
                 name, _, e = factor.partition("^")
-                if not _INT_RE.match(e):
+                if not _INT_RE.fullmatch(e):
                     raise ParseError(f"bad exponent in {factor!r}")
                 e = int(e)
             else:
@@ -884,8 +884,7 @@ class QuotientRing(Ring):
             return _zmod_inverse(self, a, base.n)
         if isinstance(base, IntegerRing):
             # a is a unit over Z iff its rational inverse has integer coefficients
-            qring = QuotientRing(PolyRing(RATIONALS, self.poly.variables), self.relation)
-            qinv = qring.unit_inverse(qring.raw(a))
+            qinv = self._over_q.unit_inverse(self._over_q.raw(a))
             if qinv is None or any(c.denominator != 1 for _, c in qinv):
                 return None
             return self.canonicalize(tuple((e, int(c)) for e, c in qinv))
@@ -895,6 +894,10 @@ class QuotientRing(Ring):
             return None
         inv = self.reduce(_sparse(base, s))
         return inv if self.mul(a, inv) == self.one() else None
+
+    @cached_property
+    def _over_q(self):  # Q[t]/(g), where a unit inverse over Z is found
+        return QuotientRing(PolyRing(RATIONALS, self.poly.variables), self.relation)
 
     def quotient_by(self, values):
         """Q[t]/(gcd(g, values)) over Q; other bases as for every ring."""
@@ -1086,7 +1089,7 @@ def make_ring(descriptor: str) -> Ring:
         return RationalRing()
     if s.startswith("zmod:"):
         body = s[len("zmod:"):].strip()
-        if not _INT_RE.match(body):
+        if not _INT_RE.fullmatch(body):
             raise ParseError(f"bad modulus {body!r}")
         return ZModRing(int(body))
     if s.startswith("poly(") and s.endswith(")"):

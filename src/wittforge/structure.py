@@ -259,9 +259,6 @@ def is_hodge_tate(v: WittVector, ctx: LocalContext) -> bool:
         ok, _ = witt_is_unit(_shift_down(f1, ctx.p))
         if not ok:
             return False
-    else:
-        if not f1.is_zero():
-            return False
     for n in d.factors:
         if n == 1:
             continue
@@ -322,11 +319,9 @@ def v_nonfree_obstruction(E: IndexSet) -> dict:
             continue
         for p in fac:
             m = n // p
-            m_fac = factorize(m) if m > 1 else {}
+            m_fac = factorize(m)
             n_vals = {1, -1}
-            if m == 1:
-                m_vals = {0}
-            elif len(m_fac) == 1:
+            if len(m_fac) == 1:
                 q = list(m_fac)[0]
                 m_vals = {q, -q}
             else:

@@ -35,7 +35,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 
 from .indexset import IndexSet
-from .numutil import WittforgeError, divisors, factorize
+from .numutil import WittforgeError, divisors, factorize, integer
 from .rings import INTEGERS, InexactDivision
 from .sparsepoly import IntPoly
 
@@ -88,7 +88,7 @@ def _frobenius_index(op: str):
     if not op.startswith("frobenius:"):
         return None
     try:
-        return int(op[len("frobenius:"):])
+        return integer(op[len("frobenius:"):])
     except ValueError:
         raise GenerationError(f"bad Frobenius family {op!r}") from None
 

@@ -32,7 +32,7 @@ them, over Z as over any Z[x^+-1] or Z[t]/(g).  Over Z this is Dwork's
 criterion: for a prime p and m with mp in E, p divides D, so D^m w_m and
 D^{mp} w_{mp} are both divisible by p^m, and p^m by p^{1 + v_p(m)}.  Every
 division of the integral unghost is therefore exact, and S.exact_div_int
-still raises if one is not.  The unit solve (witt_solve_mul) still computes
+still raises if one is not.  The unit solve (witt_unit_inverse) still computes
 in Fractions over these rings; a quotient whose relation is not integral,
 such as Q[t]/(t^2 + 1/2), computes in Fractions throughout.
 """
@@ -446,8 +446,8 @@ def map_coords(a: WittVector, ring_map, target: Ring) -> WittVector:
 # units (ghost criterion with a constructive triangular solve)
 
 
-def witt_solve_mul(a: WittVector, target: WittVector):
-    """Solve a * b = target for b, or return None.
+def witt_unit_inverse(a: WittVector):
+    """The b with a * b = 1, or None when a is not a unit.
 
     Coordinate n of a * b is g_n(a) * b_n plus terms in lower coordinates of
     b, so the system is triangular; it is solvable exactly when every ghost
@@ -457,7 +457,7 @@ def witt_solve_mul(a: WittVector, target: WittVector):
     One pass over the lift S: with c = lift(a) * b~ and b~_n still 0, the
     product coordinate is known_n = (g_n(a~) g'_n - sum_{d|n,d<n} d c_d^(n/d)) / n
     where g'_n is the ghost of b~ without b_n.  Then b_n solves
-    g_n(a) b_n = target_n - known_n in R, and c_n = known_n + g_n(a~) b~_n.
+    g_n(a) b_n = [n = 1] - known_n in R, and c_n = known_n + g_n(a~) b~_n.
     """
     E, ring = a.index_set, a.ring
     plan = _plan(E)
@@ -469,7 +469,7 @@ def witt_solve_mul(a: WittVector, target: WittVector):
     mul, add, sub, from_int = S.mul, S.add, S.sub, S.from_int
     bs, b_pows, c_pows = [], [], []
     for n, g, inv, t, terms, chain in zip(
-        plan.elements, ga, invs, target.coords, plan.lower, plan.chain
+        plan.elements, ga, invs, witt_one(E, ring).coords, plan.lower, plan.chain
     ):
         known = S.zero()
         if terms:
@@ -485,10 +485,6 @@ def witt_solve_mul(a: WittVector, target: WittVector):
         b_pows.append(_powers(S, b, chain))
         c_pows.append(_powers(S, add(known, mul(g, b)), chain))
     return WittVector(E, ring, tuple(bs))
-
-
-def witt_unit_inverse(a: WittVector):
-    return witt_solve_mul(a, witt_one(a.index_set, a.ring))
 
 
 # ---------------------------------------------------------------------------

@@ -395,8 +395,8 @@ def test_generation_error_exit_code(capsys, monkeypatch):
     assert code == 2 and out == "" and err == "error: NotMaterialized: not expanded\n"
 
 
-WITT_POINTS = ["prismatic", "--ring", "zmod:2", "--index-set", "div:2", "--gens", "x",
-               "--relations", "1*x^2+-1*x", "--witt-points"]
+WITT_POINTS = ["witt-points", "--ring", "zmod:2", "--index-set", "div:2", "--gens", "x",
+               "--relations", "1*x^2+-1*x"]
 
 
 def test_witt_points_need_no_xi(capsys):
@@ -549,9 +549,19 @@ MALFORMED = [
     # one local context: a prime or all primes inverted, never both
     (["decompose", "--ring", "zmod:9", "--index-set", "div:6", "--a", "1,0,0,0",
       "--p", "3", "--rational"], "UsageError"),
-    # --witt-points reads no xi and no local context, so it takes neither
+    # witt-points reads no xi and no local context, so it has no option for either
     (WITT_POINTS + ["--xi", "5,5,5", "--p", "4"], "UsageError"),
     (WITT_POINTS + ["--rational"], "UsageError"),
+    # an integer option is a numeral: no underscore, no plus sign, ASCII digits only
+    (["verify", "--seed", "4_2"], "UsageError"),
+    (["verify", "--seed", "٤٢"], "UsageError"),
+    (["verify", "--seed", "+42"], "UsageError"),
+    (["frobenius", "--n", "+2", "--ring", "integers", "--index-set", "div:2", "--a", "3,0"],
+     "UsageError"),
+    (["derham", "--torus", "١", "--affine", "0"], "UsageError"),
+    (["rees", "--step", "2,1", "--start", "+1"], "UsageError"),
+    (["prismatic", "--ring", "zmod:4", "--index-set", "set:1", "--xi", "2", "--p", "2",
+      "--gens", "x", "--budget-enum", "1_000"], "UsageError"),
 ]
 
 
@@ -564,8 +574,25 @@ def test_malformed_input_exit_code(argv, error, capsys):
 
 
 def test_witt_points_names_every_option_it_refuses(capsys):
-    code, _, err = run_cli(WITT_POINTS + ["--p", "2", "--xi", "1,0"], capsys)
-    assert code == 2 and err.endswith("so not --xi, --p\n")
+    code, _, err = run_cli(WITT_POINTS + ["--p", "2", "--xi", "1,0", "--rational"], capsys)
+    assert code == 2
+    assert err == "error: UsageError: unrecognized arguments: --p 2 --xi 1,0 --rational\n"
+
+
+def test_an_option_is_spelled_in_full(capsys):
+    # an abbreviation would be a second spelling: --p would be read as --pretty
+    code, out, err = run_cli(WITT_POINTS + ["--p"], capsys)
+    assert code == 2 and out == "" and err == "error: UsageError: unrecognized arguments: --p\n"
+    code, out, err = run_cli(["verify", "--suite", "witt-unit", "--se", "3"], capsys)
+    assert code == 2 and out == "" and err == "error: UsageError: unrecognized arguments: --se 3\n"
+
+
+def test_witt_points_is_a_subcommand_not_a_prismatic_flag(capsys):
+    argv = ["prismatic", "--ring", "zmod:2", "--index-set", "div:2", "--xi", "0,1", "--p", "2",
+            "--gens", "x", "--relations", "1*x^2+-1*x", "--witt-points"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == "error: UsageError: unrecognized arguments: --witt-points\n"
 
 
 def test_cone_witness_output(capsys):
@@ -591,6 +618,7 @@ README_INVOCATIONS = [
     ["derham", "--torus", "1", "--affine", "0"],
     ["prismatic", "--ring", "zmod:4", "--index-set", "set:1", "--xi", "2", "--p", "2",
      "--gens", "x", "--relations", "1*x^2"],
+    WITT_POINTS,
     ["verify", "--suite", "hodge-tate-equivalences", "--seed", "7"],
 ]
 

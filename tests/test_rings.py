@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import islice
 from math import gcd
@@ -206,6 +207,29 @@ def test_rational_literal_zero_denominator():
             RATIONALS.el_from_str(s)
     with pytest.raises(ParseError):
         make_ring("poly(rationals; x)").el_from_str("1/0*x")
+
+
+@pytest.mark.parametrize("descriptor, literal, sum_form", [
+    ("poly(rationals; t)", "1*t^2-2", "1*t^2+-2"),
+    ("poly(integers; x)", "x-1", "x+-1"),
+    ("poly(integers; x; inv x)", "x^-1-x-3", "x^-1+-x+-3"),
+])
+def test_a_difference_is_refused_with_its_sum_form(descriptor, literal, sum_form):
+    with pytest.raises(ParseError, match=f"'{re.escape(sum_form)}', not '{re.escape(literal)}'"):
+        make_ring(descriptor).el_from_str(literal)
+    make_ring(descriptor).el_from_str(sum_form)
+
+
+def test_a_quotient_relation_is_a_sum():
+    with pytest.raises(ParseError, match=re.escape("'1*t^2+-2'")):
+        make_ring("quot(poly(rationals; t); 1*t^2-2)")
+    assert make_ring("quot(poly(rationals; t); 1*t^2+-2)").degree == 2
+
+
+def test_a_leading_minus_and_negative_exponents_still_read():
+    r = make_ring("poly(integers; x; inv x)")
+    assert r.el_to_str(r.el_from_str("-x^-1+--x")) == "-1*x^-1+1*x"
+    assert r.el_to_str(r.el_from_str("-2*x^-2")) == "-2*x^-2"
 
 
 def test_quotient_literal_with_large_exponent():

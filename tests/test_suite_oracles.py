@@ -6,7 +6,9 @@ report each failed axiom under its own label.  The oracles below recompute
 each value where a check uses it and spell the labels out.  Under planted
 faults in the kernel and in a ring, both must report the same cases and the
 same failures, in the same order.  A second guard counts the kernel calls of
-one seed, so that recomputation cannot come back unnoticed.
+one seed, so that recomputation cannot come back unnoticed.  A third plants
+a fault in the library function each structural suite checks and asserts
+that the suite reports it under that check's label.
 """
 
 import sys
@@ -14,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from wittforge import rings, suites, witt
+from wittforge import cone, prismatic, rings, structure, suites, witt
 from wittforge.indexset import IndexSet, index_set_make
 from wittforge.rings import RATIONALS, elem_is_nilpotent, elem_is_unit, make_ring
 from wittforge.suites import SuiteReport, _rng, suite_run
@@ -291,3 +293,74 @@ def test_the_axiom_and_operator_suites_compute_each_value_once(monkeypatch):
         "frobenius": 100 * 14 + 300 * 2 + 50 * 3 * 2,
         "ghost_raw": 50 * 6,
     }
+
+
+def _hodge_tate_holds_at_zero(monkeypatch):
+    """is_hodge_tate also holds at 0, which no Witt vector kills alone."""
+    ht = structure.is_hodge_tate
+    _replace(monkeypatch, structure, "is_hodge_tate", lambda v, ctx: v.is_zero() or ht(v, ctx))
+    return "hodge-tate-equivalences", "ht-vs-V(unit)"
+
+
+def _recompose_is_off_by_one(monkeypatch):
+    """local_recompose adds 1 when the last coordinate comes out odd."""
+    recompose = structure.local_recompose
+
+    def faulty(d, ctx):
+        a = recompose(d, ctx)
+        return _plus_one(a) if _odd(a.coords[-1]) else a
+
+    _replace(monkeypatch, structure, "local_recompose", faulty)
+    return "local-decomposition", "roundtrip"
+
+
+def _unit_inverse_is_off_by_one(monkeypatch):
+    """witt_is_unit returns an inverse 1 too large when the unit's last coordinate is odd."""
+    is_unit = structure.witt_is_unit
+
+    def faulty(a):
+        ok, inv = is_unit(a)
+        return (ok, _plus_one(inv)) if ok and _odd(a.coords[-1]) else (ok, inv)
+
+    _replace(monkeypatch, structure, "witt_is_unit", faulty)
+    return "witt-unit", "unit-witness"
+
+
+def _wf_misses_odd_last_coordinates(monkeypatch):
+    """is_in_wf misses the members whose last coordinate is odd."""
+    in_wf = structure.is_in_wf
+    _replace(monkeypatch, structure, "is_in_wf", lambda a: in_wf(a) and not _odd(a.coords[-1]))
+    return "wf-annihilator", "wf-vs-killsVW"
+
+
+def _cone_product_is_not_commutative(monkeypatch):
+    """u*v at a cone level gains 1 in degree 0 unless u <= v."""
+    level_mul = cone.cone_level_mul
+
+    def faulty(q, u, v):
+        uv = level_mul(q, u, v)
+        return uv if u <= v else (q.ring.add(uv[0], q.ring.one()),) + uv[1:]
+
+    _replace(monkeypatch, cone, "cone_level_mul", faulty)
+    return "cone-laws", "commutativity"
+
+
+def _witt_points_miss_zero(monkeypatch):
+    """witt_points leaves out the point that sends every generator to 0."""
+    points = prismatic.witt_points
+
+    def faulty(B, E, ring, cap=rings.ENUM_CAP):
+        return [p for p in points(B, E, ring, cap=cap) if not all(w.is_zero() for w in p)]
+
+    _replace(monkeypatch, prismatic, "witt_points", faulty)
+    return "prismatic-points", "witt-points-idempotents"
+
+
+@pytest.mark.parametrize("plant", [
+    _hodge_tate_holds_at_zero, _recompose_is_off_by_one, _unit_inverse_is_off_by_one,
+    _wf_misses_odd_last_coordinates, _cone_product_is_not_commutative, _witt_points_miss_zero,
+])
+def test_a_structural_suite_fails_under_the_label_of_the_broken_check(monkeypatch, plant):
+    name, label = plant(monkeypatch)
+    labels = {f["case"] for f in suite_run(name, 5).failures}
+    assert label in labels, (name, labels)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -29,7 +30,6 @@ from wittforge.witt import (
     witt_from_int,
     witt_mul,
     witt_one,
-    witt_solve_mul,
     witt_space,
     witt_unit_inverse,
     witt_zero,
@@ -203,10 +203,11 @@ def test_unit_solve():
     assert witt_unit_inverse(make_witt(E2, z4, [2, 1])) is None
     # over Z: (1,1) has ghost (1,3): 3 is not a unit, so not invertible
     assert witt_unit_inverse(make_witt(E2, INTEGERS, [1, 1])) is None
-    # solve against an arbitrary target
-    t = make_witt(E2, z4, [1, 2])
-    b = witt_solve_mul(a, t)
-    assert b is not None and a * b == t
+    # a unit over Q that is not its own inverse
+    u = make_witt(E6, RATIONALS, [2, 1, 0, 3])
+    b = witt_unit_inverse(u)
+    assert b is not None and u * b == witt_one(E6, RATIONALS)
+    assert b.coords == (Fraction(1, 2), Fraction(-1, 24), 0, Fraction(-173, 290304))
 
 
 def test_mismatches():
