@@ -27,7 +27,7 @@ from .filtration import (
     step_filtration,
 )
 from .indexset import index_set_make
-from .numutil import WittforgeError, integer
+from .numutil import WittforgeError, integer, split_items
 from .prismatic import (
     AffinePresentation,
     PrismaticContext,
@@ -218,9 +218,8 @@ def cmd_derham(args):
 
 
 def _presentation(args):
-    gens = tuple(g.strip() for g in args.gens.split(",") if g.strip())
-    rels = tuple(r.strip() for r in (args.relations or "").split(";") if r.strip())
-    return AffinePresentation(gens, rels)
+    gens = split_items(args.gens, error=UsageError)
+    return AffinePresentation(gens, split_items(args.relations, ";", error=UsageError))
 
 
 def cmd_prismatic(args):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .numutil import WittforgeError, divisors, factorize, integer, is_prime
+from .numutil import WittforgeError, divisors, factorize, integer, is_prime, split_items
 
 
 class IndexSetError(WittforgeError, ValueError):
@@ -132,7 +132,7 @@ def index_set_make(spec: str) -> IndexSet:
                 raise IndexSetError(f"bad p-typical spec {spec!r}")
             return IndexSet.p_typical(integer(parts[0]), integer(parts[1]))
         if spec.startswith("set:"):
-            return IndexSet.explicit(integer(x) for x in spec[4:].split(",") if x.strip())
+            return IndexSet.explicit(integer(x) for x in split_items(spec[4:]))
     except ValueError as e:
         raise IndexSetError(f"bad index set spec {spec!r}: {e}") from e
     raise IndexSetError(f"unrecognized index set spec {spec!r}")

@@ -23,6 +23,15 @@ def integer(text: str) -> int:
     return int(text)
 
 
+def split_items(text: str, sep: str = ",", error=ValueError) -> tuple[str, ...]:
+    """The stripped items of a separated list, a blank text being no items; an
+    empty item, between separators or after a trailing one, raises error."""
+    parts = tuple(x.strip() for x in text.split(sep)) if text.strip() else ()
+    if "" in parts:
+        raise error(f"empty item in {text!r}")
+    return parts
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division. Intended for small n."""
     if n <= 0:

@@ -20,7 +20,7 @@ from itertools import product as iter_product
 from math import gcd, lcm
 from operator import add as _add
 
-from .numutil import FRACTION, NUMERAL, WittforgeError, crt_pair, factorize, inverse_mod, is_prime
+from .numutil import FRACTION, NUMERAL, WittforgeError, crt_pair, factorize, inverse_mod, is_prime, split_items
 
 
 class RingError(WittforgeError):
@@ -56,7 +56,7 @@ def _same(a):
     return a
 
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _INT_RE = re.compile(NUMERAL)
 _FRAC_RE = re.compile(FRACTION)
 _DIFFERENCE_RE = re.compile(r"([A-Za-z_0-9])-")  # a minus after a name or a numeral
@@ -608,7 +608,7 @@ class PolyRing(Ring):
         if not variables:
             raise ValidationError("poly ring needs at least one variable")
         for v in variables:
-            if not _NAME_RE.match(v):
+            if not _NAME_RE.fullmatch(v):
                 raise ValidationError(f"bad variable name {v!r}")
         if len(set(variables)) != len(variables):
             raise ValidationError("duplicate variable names")
@@ -1097,13 +1097,13 @@ def make_ring(descriptor: str) -> Ring:
         if len(sections) not in (2, 3):
             raise ParseError(f"poly descriptor needs 2 or 3 sections: {s!r}")
         base = make_ring(sections[0])
-        variables = [v.strip() for v in sections[1].split(",") if v.strip()]
+        variables = split_items(sections[1], error=ParseError)
         inverted = []
         if len(sections) == 3:
             inv = sections[2].strip()
             if not inv.startswith("inv"):
                 raise ParseError(f"third poly section must start with 'inv': {s!r}")
-            inverted = [v.strip() for v in inv[3:].split(",") if v.strip()]
+            inverted = split_items(inv[3:], error=ParseError)
         return PolyRing(base, variables, inverted)
     if s.startswith("quot(") and s.endswith(")"):
         sections = _split_top(s[len("quot("):-1], ";")

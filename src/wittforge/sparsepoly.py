@@ -64,8 +64,10 @@ coefficient of M would spill into the next slot.
 
 `terms` is a read-only view that decodes the keys into exponent tuples, for
 tests and cold callers; `evaluate`, on the hot path of the prismatic point
-searches, reads each key's exponent bytes itself.  This is the engine behind
-the universal Witt polynomials.
+searches, reads each key's exponent bytes itself, calls from_int only for a
+coefficient other than 1 and -1 and zero() only for the zero polynomial, and
+for canonical values equals the sum of from_int(c) times the powers.  This is
+the engine behind the universal Witt polynomials.
 """
 
 from __future__ import annotations
@@ -481,22 +483,32 @@ class IntPoly:
         """Evaluate in a Ring, given raw values for the variables.
 
         Each power values[i]^e comes from ring.pow once and is cached under
-        (i, e) for the other terms.
+        (i, e) for the other terms.  A term is its powers' product, times
+        ring.from_int(c) unless c is 1 or -1 (-1 negates it); a constant term
+        is from_int(c).  The sum starts from the first term, so zero() is made
+        only for the zero polynomial.  For canonical values the result equals
+        the sum, from zero(), of from_int(c) times each power.
         """
         powers: dict = {}
-        total = ring.zero()
+        total = None
         width, nvars = self.width, self.nvars
         for key, c in self.packed.items():
             exps = key.to_bytes(nvars, "little") if width == 1 else _decode(key, width, nvars)
-            term = ring.from_int(c)
+            term = None
             for i, e in enumerate(exps):
                 if e:
                     v = powers.get((i, e))
                     if v is None:
                         v = powers[i, e] = ring.pow(values[i], e)
-                    term = ring.mul(term, v)
-            total = ring.add(total, term)
-        return total
+                    term = v if term is None else ring.mul(term, v)
+            if term is None:
+                term = ring.from_int(c)
+            elif c == -1:
+                term = ring.neg(term)
+            elif c != 1:
+                term = ring.mul(ring.from_int(c), term)
+            total = term if total is None else ring.add(total, term)
+        return ring.zero() if total is None else total
 
     def substitute(self, polys: list["IntPoly"]) -> "IntPoly":
         """Compose: plug IntPolys (in the target variable count) in for variables."""

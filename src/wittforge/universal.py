@@ -77,20 +77,21 @@ def _ghost_target(E: IndexSet, op: str, n: int) -> IntPoly:
         return ghost_poly(E, n, 0, 2) * ghost_poly(E, n, 1, 2)
     if op == "negation":
         return -ghost_poly(E, n, 0, 1)
-    k = _frobenius_index(op)
-    if k is not None:
-        return ghost_poly(E, k * n, 0, 1)
-    raise GenerationError(f"unknown operation {op!r}")
+    return ghost_poly(E, _frobenius_index(op) * n, 0, 1)
 
 
 def _frobenius_index(op: str):
-    """k of a "frobenius:k" family, or None for any other op."""
-    if not op.startswith("frobenius:"):
+    """k of "frobenius:k", None for sum, product and negation; any other op
+    raises, so that a family has one name ("frobenius: 2" is refused)."""
+    if op in ("sum", "product", "negation"):
         return None
     try:
-        return integer(op[len("frobenius:"):])
+        k = integer(op.removeprefix("frobenius:"))
     except ValueError:
-        raise GenerationError(f"bad Frobenius family {op!r}") from None
+        k = None
+    if k is None or op != f"frobenius:{k}":
+        raise GenerationError(f"unknown operation {op!r}")
+    return k
 
 
 def _family_levels(E: IndexSet, op: str) -> list[int]:

@@ -562,6 +562,17 @@ MALFORMED = [
     (["rees", "--step", "2,1", "--start", "+1"], "UsageError"),
     (["prismatic", "--ring", "zmod:4", "--index-set", "set:1", "--xi", "2", "--p", "2",
       "--gens", "x", "--budget-enum", "1_000"], "UsageError"),
+    # a list has no empty item, between separators or after a trailing one
+    (["witt-points", "--ring", "zmod:2", "--index-set", "div:2", "--gens", "x,,"],
+     "UsageError"),
+    (["witt-points", "--ring", "zmod:2", "--index-set", "div:2", "--gens", "x,,y"],
+     "UsageError"),
+    (WITT_POINTS[:-1] + ["1*x^2+-1*x;;1*x"], "UsageError"),
+    (WITT_POINTS[:-1] + ["1*x^2+-1*x;"], "UsageError"),
+    (["witt-points", "--ring", "zmod:2", "--index-set", "set:1,,2", "--gens", "x"],
+     "IndexSetError"),
+    (["witt-points", "--ring", "poly(zmod:2; t,)", "--index-set", "div:1", "--gens", "x"],
+     "ParseError"),
 ]
 
 
@@ -571,6 +582,12 @@ def test_malformed_input_exit_code(argv, error, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
+
+
+def test_a_wholly_empty_relation_list_is_no_relation(capsys):
+    argv = ["witt-points", "--ring", "zmod:2", "--index-set", "div:2", "--gens", "x"]
+    code, out, _ = run_cli(argv + ["--relations", ""], capsys)
+    assert (code, out) == run_cli(argv, capsys)[:2] and json.loads(out)["count"] == 4
 
 
 def test_witt_points_names_every_option_it_refuses(capsys):

@@ -8,7 +8,9 @@ non-ASCII digits, str.isdigit() and a regex \\d take non-ASCII digits.  The
 guard fails on argparse's type=int, on the str digit tests and on \\d in a
 string literal anywhere in the package; the rows below show that each
 second spelling is refused, and that the canonical ones still read.  The
-command line's integer options have their rows in test_cli.py.
+command line's integer options have their rows in test_cli.py, and the
+Frobenius family names theirs in test_universal.py.  A list has one spelling
+too: the rows below include lists with an empty item.
 """
 
 import ast
@@ -83,9 +85,12 @@ def test_anything_else_is_no_numeral(text):
         integer(text)
 
 
-# inputs that computed while a second grammar read them
-RING_DESCRIPTORS = ["zmod:٧", "zmod:07"]
-INDEX_SETS = ["div:1_0", "div:+6", "div:٦", "ptyp:٢:3", "set:1,٢"]
+# inputs that computed while a second grammar read them, and lists with an
+# empty item, which read as the list without it
+RING_DESCRIPTORS = [
+    "zmod:٧", "zmod:07", "poly(integers; x,,y)", "poly(integers; x,)", "poly(integers; x; inv x,,)",
+]
+INDEX_SETS = ["div:1_0", "div:+6", "div:٦", "ptyp:٢:3", "set:1,٢", "set:1,,2", "set:1,2,", "set:,1"]
 LITERALS = [
     ("zmod:7", "٣"),
     ("integers", "-0"),
@@ -117,6 +122,10 @@ def test_a_literal_has_one_spelling(descriptor, literal):
 def test_a_frobenius_family_has_one_name():
     with pytest.raises(GenerationError):
         get_universal(index_set_make("div:2"), "frobenius:+2")
+
+
+def test_a_blank_list_is_the_empty_one():
+    assert make_ring("poly(integers; x; inv )") == make_ring("poly(integers; x)")
 
 
 @pytest.mark.parametrize("descriptor, literal, value", [

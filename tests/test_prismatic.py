@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 from itertools import product as iter_product
 
 import pytest
@@ -17,7 +18,7 @@ from wittforge.prismatic import (
     wbar_ring,
     witt_points,
 )
-from wittforge.witt import make_witt, witt_mul, witt_space, witt_unit_inverse
+from wittforge.witt import WittRing, make_witt, witt_mul, witt_space, witt_unit_inverse
 
 Z4 = make_ring("zmod:4")
 E1 = IndexSet.explicit([1])
@@ -313,3 +314,40 @@ def test_groupoid_matches_brute_force():
             expected[0], list(expected[1].items()), expected[2])
 
     check()
+
+
+# WittRing operations of each walk over W_{div:2}(Z/4), xi = (2, 3): the
+# polynomial evaluation makes no from_int for a coefficient of 1 or -1 and
+# no zero() to start a sum.  The plain evaluation made 608, 1904, 2144, 96,
+# 5136 and 1536 operations on these six.
+WALK_OPS = [
+    ("1*x+1", {"add": 336, "mul": 16, "from_int": 16}),
+    ("1*x^2+1", {"add": 784, "mul": 544, "from_int": 144}),
+    ("2*x+2", {"add": 1296, "mul": 288, "from_int": 288}),
+    ("2*x+1", {"add": 16, "mul": 32, "from_int": 32}),
+    ("1*x^3+-1*x", {"add": 1552, "mul": 2160, "neg": 208, "from_int": 384}),
+]
+
+
+def _counting(monkeypatch):
+    counts = Counter()
+    for name in ("add", "mul", "neg", "from_int"):
+        def counted(self, *args, _op=getattr(WittRing, name), _name=name):
+            counts[_name] += 1
+            return _op(self, *args)
+
+        monkeypatch.setattr(WittRing, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("relation, ops", WALK_OPS, ids=[r for r, _ in WALK_OPS])
+def test_the_walk_makes_its_pinned_witt_operations(monkeypatch, relation, ops):
+    counts = _counting(monkeypatch)
+    prismatic_points_affine(AffinePresentation(("x",), (relation,)), ctx_e2())
+    assert counts == ops
+
+
+def test_witt_points_make_their_pinned_witt_operations(monkeypatch):
+    counts = _counting(monkeypatch)
+    pts = witt_points(AffinePresentation(("x", "y"), ("1*x*y+-1",)), E2, Z4)
+    assert len(pts) == 8 and counts == {"add": 256, "mul": 256, "from_int": 256}

@@ -1,18 +1,23 @@
+import ast
 import random
 import re
 from fractions import Fraction
 from itertools import islice
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+from test_one_coercion import SRC
 from wittforge.indexset import index_set_make
+from wittforge.numutil import WittforgeError
 from wittforge.rings import (
     INTEGERS,
     RATIONALS,
     CosetRing,
     InexactDivision,
     ParseError,
+    PolyRing,
     Ring,
     RingError,
     RingMismatch,
@@ -46,6 +51,39 @@ def test_parse_errors():
         make_ring("poly(integers; x; inv y)")
     with pytest.raises(UnsupportedRing):
         make_ring("quot(poly(rationals; t); 1*t^2, 1*t^3)")
+
+
+@pytest.mark.parametrize("name", ["x\n", "x ", "\nx", "1x", "x-y", ""])
+def test_a_variable_name_is_a_whole_identifier(name):
+    with pytest.raises(ValidationError):
+        PolyRing(INTEGERS, [name])
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def _described_rings():
+    """The rings every string literal of the suites and the tests describes,
+    and the rings they are built on."""
+    found = {}
+    for path in [SRC / "suites.py", *sorted(TESTS.glob("test_*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    ring = make_ring(node.value)
+                except WittforgeError:
+                    continue
+                while ring is not None:
+                    found[ring.descriptor()] = ring
+                    ring = getattr(ring, "poly", None) or getattr(ring, "base", None)
+    return found
+
+
+def test_every_built_ring_reads_back_from_its_descriptor():
+    rings = _described_rings()
+    assert len(rings) > 50 and {"integers", "rationals", "zmod:4"} <= set(rings)
+    for descriptor, ring in rings.items():
+        assert make_ring(descriptor) == ring, descriptor
 
 
 def test_zmod_arith():

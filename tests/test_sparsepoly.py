@@ -1,5 +1,7 @@
 """The packed-key engine of IntPoly against independent slow paths: a naive
 product on exponent tuples, and evaluation at random integer points.
+Evaluation itself is checked against the plain sum of from_int(c) times the
+powers, over five rings.
 
 The strategies draw exponents on both sides of 255 -> 256, so that products,
 powers, sums and substitutions cross from one-byte to two-byte keys.  Each
@@ -7,12 +9,15 @@ strategy is built once per variable count and variable subset and then
 shared, so that Hypothesis builds and validates it once rather than on
 every draw."""
 
+import random
 from functools import lru_cache
 
 import pytest
 
-from wittforge.rings import INTEGERS
+from wittforge.indexset import index_set_make
+from wittforge.rings import INTEGERS, make_ring
 from wittforge.sparsepoly import IntPoly, _pmul, _width_for
+from wittforge.witt import WittRing
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -484,3 +489,50 @@ def test_power_sum_strip_edge_cases():
     for bad in ([[2, 2]], [[1, 1], [1, 1]], [[1]], [[1, -1]]):
         with pytest.raises(ValueError):
             IntPoly.power_sum(2, [(1, x + y, 2)], bad)
+
+
+# ---------------------------------------------------------------------------
+# evaluate skips the ring's ones and zeros; the plain formulation is its oracle
+
+
+def plain_evaluate(p: IntPoly, ring, values):
+    """from_int(c) times each power, summed from zero()."""
+    total = ring.zero()
+    for exps, c in p.terms.items():
+        term = ring.from_int(c)
+        for v, e in zip(values, exps):
+            if e:
+                term = ring.mul(term, ring.pow(v, e))
+        total = ring.add(total, term)
+    return total
+
+
+EVAL_RINGS = {
+    "integers": make_ring("integers"),
+    "zmod:12": make_ring("zmod:12"),
+    "rationals": make_ring("rationals"),
+    "poly(zmod:4; x)": make_ring("poly(zmod:4; x)"),
+    "witt(div:2, zmod:4)": WittRing(index_set_make("div:2"), make_ring("zmod:4")),
+}
+# coefficients 1 and -1 half the time; exponents up to 3 or past a one-byte field
+EVAL_TERMS = st.dictionaries(
+    st.tuples(exponents(3), exponents(3)),
+    st.sampled_from([1, -1]) | st.integers(-9, 9),
+    max_size=4,
+)
+
+
+@pytest.mark.parametrize("name", list(EVAL_RINGS))
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@hypothesis.given(terms=EVAL_TERMS, seed=st.integers(0, 2**16))
+@hypothesis.example(terms={}, seed=0)
+@hypothesis.example(terms={(0, 0): 7}, seed=1)
+@hypothesis.example(terms={(0, 0): -1}, seed=2)
+@hypothesis.example(terms={(1, 0): 1, (0, 0): -1}, seed=3)
+@hypothesis.example(terms={(256, 1): -1, (0, 2): 3, (1, 0): 1}, seed=4)
+def test_evaluate_equals_the_plain_sum(name, terms, seed):
+    ring = EVAL_RINGS[name]
+    rng = random.Random(seed)
+    values = [ring.random(rng) for _ in range(2)]
+    p = IntPoly(2, terms)
+    assert p.evaluate(ring, values) == plain_evaluate(p, ring, values)

@@ -15,6 +15,7 @@ from wittforge.indexset import IndexSet, index_set_make
 from wittforge.sparsepoly import IntPoly
 from wittforge.universal import (
     CACHE_FORMAT,
+    _MEM,
     GenerationError,
     UniversalEntry,
     _certify_step,
@@ -59,10 +60,16 @@ def test_frobenius_family():
     assert fid.poly(2) == IntPoly(2, {(0, 1): 1})
 
 
-@pytest.mark.parametrize("op", ["foo", "frobenius:3", "frobenius:x", "frobenius:", "frobenius:2:2"])
+@pytest.mark.parametrize("op", [
+    "foo", "frobenius:3", "frobenius:x", "frobenius:", "frobenius:2:2",
+    "frobenius: 2", "frobenius:2 ", " frobenius:2", "2", "frobenius:None",
+])
 def test_bad_family_name_is_typed(op):
+    get_universal(E2, "frobenius:2")
     with pytest.raises(GenerationError):
         get_universal(E2, op)
+    # a family has one name, so it is cached under one key
+    assert (E2.key(), "frobenius:2") in _MEM and (E2.key(), op) not in _MEM
 
 
 def test_generation_certificates_for_oversized_levels():
