@@ -14,10 +14,6 @@ from .rings import (
     INTEGERS,
     RATIONALS,
     RingElement,
-    elem_arith,
-    elem_is_nilpotent,
-    elem_is_unit,
-    exact_div,
     make_ring,
 )
 from .structure import (
@@ -32,7 +28,6 @@ from .structure import (
     v_nonfree_obstruction,
     v_one_apply,
     wf_annihilator_check,
-    witt_is_unit,
 )
 from .witt import (
     WittRing,
@@ -62,10 +57,6 @@ __all__ = [
     "WittVector",
     "WittforgeError",
     "dwork_check",
-    "elem_arith",
-    "elem_is_nilpotent",
-    "elem_is_unit",
-    "exact_div",
     "frobenius",
     "ghost",
     "index_set_make",
@@ -83,7 +74,6 @@ __all__ = [
     "verschiebung",
     "wf_annihilator_check",
     "witt_add",
-    "witt_is_unit",
     "witt_mul",
     "witt_neg",
     "witt_sub",

@@ -24,7 +24,6 @@ from itertools import combinations, product as iter_product
 
 from .filtration import (
     FilteredModule,
-    ReesModule,
     Subspace,
     matrix_rank,
     rees_of_filtered,
@@ -180,7 +179,7 @@ class HodgeFilteredCohomology:
             "b": self.algebra.affine_rank,
             "H": {str(j): self.h[j] for j in range(n + 1)},
             "Fil": fil,
-            "rees": {str(j): rees_package_degree(self, j).to_json() for j in range(n + 1)},
+            "rees": {str(j): rees_of_filtered(self.filtered[j]).to_json() for j in range(n + 1)},
         }
 
 
@@ -213,8 +212,4 @@ def hodge_cohomology(A: MonomialAlgebra, torus_bound: int = 1, affine_bound: int
         }
         filtered[j] = FilteredModule(h[j], 0, n + 1, pieces, "zero")
     return HodgeFilteredCohomology(A, h, fil, filtered)
-
-
-def rees_package_degree(H: HodgeFilteredCohomology, j: int) -> ReesModule:
-    return rees_of_filtered(H.filtered[j])
 

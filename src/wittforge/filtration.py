@@ -241,10 +241,6 @@ def filtered_line(n: int = 0) -> FilteredModule:
     return FilteredModule(1, n, n + 1, {n: full, n + 1: Subspace.zero(1)})
 
 
-def unit_filtration() -> FilteredModule:
-    return filtered_line(0)
-
-
 def step_filtration(subspaces, start: int = 0) -> FilteredModule:
     """Filtration stepping down through the given subspace chain from degree start."""
     if not subspaces:

@@ -1112,49 +1112,11 @@ def make_ring(descriptor: str) -> Ring:
         base = make_ring(sections[0])
         if not isinstance(base, PolyRing):
             raise ParseError("quot base must be a poly ring")
-        relations = [r.strip() for r in _split_top(sections[1], ",") if r.strip()]
+        relations = split_items(sections[1], error=ParseError)
         if len(relations) != 1:
             raise UnsupportedRing("only a single principal relation is supported")
         return QuotientRing(base, base.el_from_str(relations[0]))
     raise ParseError(f"unrecognized ring descriptor {descriptor!r}")
-
-
-# ---------------------------------------------------------------------------
-# spec-level operation entry points
-
-
-def elem_arith(op: str, a: RingElement, b: RingElement = None) -> RingElement:
-    if op == "neg":
-        return -a
-    if b is None:
-        raise RingError(f"{op} needs two operands")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise RingError(f"unknown operation {op!r}")
-
-
-def exact_div(a: RingElement, n: int) -> RingElement:
-    return RingElement(a.ring, a.ring.exact_div_int(a.value, n))
-
-
-def elem_is_unit(a: RingElement):
-    """Return (True, inverse) or (False, None)."""
-    inv = a.ring.unit_inverse(a.value)
-    if inv is None:
-        return False, None
-    return True, RingElement(a.ring, inv)
-
-
-def elem_is_nilpotent(a: RingElement):
-    """Return (True, least k with a^k = 0) or (False, None)."""
-    k = a.ring.nilpotent_index(a.value)
-    if k is None:
-        return False, None
-    return True, k
 
 
 INTEGERS = IntegerRing()

@@ -462,7 +462,7 @@ class IntPoly:
                 _pmul(p._at(width) if k else {0: 1}, {0: c}, out)
         return IntPoly.from_packed(nvars, width, top, out)
 
-    def exact_div(self, n: int) -> "IntPoly":
+    def exact_div_int(self, n: int) -> "IntPoly":
         out = {}
         for k, c in self.packed.items():
             q, r = divmod(c, n)

@@ -153,21 +153,6 @@ def wf_annihilator_check(a: WittVector, direction: str) -> bool:
     raise WittError(f"unknown direction {direction!r}")
 
 
-def witt_is_unit(a: WittVector):
-    """(True, inverse) iff a is a unit.
-
-    a is a unit exactly when every ghost component g_n(a) is a unit in R: the
-    ghosts are ring homomorphisms, and conversely the product polynomial at
-    level n is g_n(a) * b_n plus lower terms, so the inverse is found by a
-    triangular solve.  Over p-typical truncations of Z/p^k this reduces to
-    the usual first-coordinate criterion.
-    """
-    inv = witt_unit_inverse(a)
-    if inv is None:
-        return False, None
-    return True, inv
-
-
 # ---------------------------------------------------------------------------
 # local decomposition
 
@@ -256,14 +241,12 @@ def is_hodge_tate(v: WittVector, ctx: LocalContext) -> bool:
     if f1.coord_raw(1) != ctx.ring.zero():
         return False
     if len(Ep) >= 2:
-        ok, _ = witt_is_unit(_shift_down(f1, ctx.p))
-        if not ok:
+        if witt_unit_inverse(_shift_down(f1, ctx.p)) is None:
             return False
     for n in d.factors:
         if n == 1:
             continue
-        ok, _ = witt_is_unit(d.factor(n))
-        if not ok:
+        if witt_unit_inverse(d.factor(n)) is None:
             return False
     return True
 

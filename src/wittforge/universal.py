@@ -283,7 +283,7 @@ def generate_universal_polynomials(
             continue
         target = _ghost_target(E, op, n)
         summands = [(1, target, 1)] + [(-d, polys[d], n // d) for d in lower]
-        poly_n = IntPoly.power_sum(nvars, summands, gradings).exact_div(n)
+        poly_n = IntPoly.power_sum(nvars, summands, gradings).exact_div_int(n)
         polys[n] = poly_n
         if poly_n.num_terms() <= SYMBOLIC_VERIFY_CAP:
             _random_eval_check(op, n, target, polys, rng)

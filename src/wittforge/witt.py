@@ -51,7 +51,6 @@ from .rings import (
     InexactDivision,
     ParseError,
     Ring,
-    RingElement,
     RingMismatch,
     UnsupportedRing,
     _same,
@@ -79,9 +78,6 @@ class WittVector:
             )
 
     # -- accessors -----------------------------------------------------------
-    def coord(self, n: int) -> RingElement:
-        return self.ring.elem(self.coords[self.index_set.position(n)])
-
     def coord_raw(self, n: int):
         return self.coords[self.index_set.position(n)]
 
@@ -144,13 +140,8 @@ def witt_zero(E: IndexSet, ring: Ring) -> WittVector:
     return WittVector(E, ring, tuple(ring.zero() for _ in E))
 
 
-def teichmuller(r, E: IndexSet, ring: Ring = None) -> WittVector:
-    """[r] = (r, 0, 0, ...), the multiplicative section of the first ghost,
-    over the ring of the RingElement r when no ring is given."""
-    if ring is None:
-        ring = getattr(r, "ring", None)
-        if ring is None:
-            raise WittError("teichmuller needs a ring for a raw value")
+def teichmuller(r, E: IndexSet, ring: Ring) -> WittVector:
+    """[r] = (r, 0, 0, ...), the multiplicative section of the first ghost."""
     coords = [ring.raw(r)] + [ring.zero()] * (len(E) - 1)
     return WittVector(E, ring, tuple(coords))
 

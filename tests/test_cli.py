@@ -573,6 +573,10 @@ MALFORMED = [
      "IndexSetError"),
     (["witt-points", "--ring", "poly(zmod:2; t,)", "--index-set", "div:1", "--gens", "x"],
      "ParseError"),
+    (["ghost", "--ring", "quot(poly(integers; x); 1*x^2+1,)", "--index-set", "div:2",
+      "--a", "1,0"], "ParseError"),
+    (["ghost", "--ring", "quot(poly(integers; x); ,1*x^2+1)", "--index-set", "div:2",
+      "--a", "1,0"], "ParseError"),
 ]
 
 

@@ -113,10 +113,6 @@ def test_a_bool_is_stored_as_its_int():
     assert ZX.raw((((1,), True),)) == (((1,), 1),)
 
 
-def test_teichmuller_takes_the_ring_of_an_element():
-    assert teichmuller(Z4(3), E2) == make_witt(E2, Z4, [3, 0])
-
-
 # the defects this coercion removed, one case each: (call, error it now raises)
 TABLE = {
     "integers-reject-a-float": (lambda: Z(1.5) * 2, ValidationError),

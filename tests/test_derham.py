@@ -7,8 +7,8 @@ from wittforge.derham import (
     MonomialAlgebra,
     build_complex,
     hodge_cohomology,
-    rees_package_degree,
 )
+from wittforge.filtration import rees_of_filtered
 from wittforge.numutil import binomial
 
 
@@ -117,14 +117,14 @@ def test_box_soundness():
 
 def test_rees_packaging():
     gm = hodge_cohomology(MonomialAlgebra(1, 0))
-    rm = rees_package_degree(gm, 1)
+    rm = rees_of_filtered(gm.filtered[1])
     assert rm.piece(-1).dim() == 1 and rm.piece(-2).dim() == 0
     a1 = hodge_cohomology(MonomialAlgebra(0, 1))
-    assert rees_package_degree(a1, 1).piece(-1).dim() == 0
+    assert rees_of_filtered(a1.filtered[1]).piece(-1).dim() == 0
     g2 = hodge_cohomology(MonomialAlgebra(2, 0))
-    assert rees_package_degree(g2, 1).piece(-1).dim() == 2
+    assert rees_of_filtered(g2.filtered[1]).piece(-1).dim() == 2
     assert set(g2.filtered) == {0, 1, 2}
-    assert [rees_package_degree(g2, j).piece(-j).dim() for j in (0, 1, 2)] == [1, 2, 1]
+    assert [rees_of_filtered(g2.filtered[j]).piece(-j).dim() for j in (0, 1, 2)] == [1, 2, 1]
 
 
 def test_report_json():

@@ -20,7 +20,6 @@ from wittforge.filtration import (
     rees_of_filtered,
     shift_filtration,
     step_filtration,
-    unit_filtration,
 )
 from wittforge.numutil import binomial
 
@@ -35,7 +34,7 @@ def test_subspace_basics():
 
 
 def test_unit_and_line():
-    unit = unit_filtration()
+    unit = filtered_line(0)
     r = rees_of_filtered(unit)
     assert r.piece(0).dim() == 1 and r.piece(-1).dim() == 0 and r.piece(5).dim() == 1
     q1 = filtered_line(1)
@@ -59,7 +58,7 @@ def test_round_trips():
 def test_shift():
     q1 = filtered_line(1)
     assert shift_filtration(q1, 0) == q1
-    assert shift_filtration(q1, -1) == unit_filtration()
+    assert shift_filtration(q1, -1) == filtered_line(0)
     assert shift_filtration(shift_filtration(q1, 2), -2) == q1
     # {n} shifts Rees degrees by -n
     M = filtered_line(0)
@@ -71,7 +70,7 @@ def test_shift():
 
 
 def test_day():
-    unit = unit_filtration()
+    unit = filtered_line(0)
     q1 = filtered_line(1)
     assert day_tensor(q1, q1) == filtered_line(2)
     line = Subspace.span(2, [(1, 1)])

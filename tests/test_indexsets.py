@@ -83,7 +83,7 @@ def test_position_outside_the_set_is_typed():
     with pytest.raises(IndexSetError):
         E.position(3)
     with pytest.raises(IndexSetError):
-        make_witt(E, INTEGERS, [1, 2]).coord(3)
+        make_witt(E, INTEGERS, [1, 2]).coord_raw(3)
 
 
 def test_parse_bad_inputs():

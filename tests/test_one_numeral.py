@@ -20,7 +20,7 @@ import pytest
 from test_one_coercion import SRC
 from wittforge.indexset import IndexSetError, index_set_make
 from wittforge.numutil import integer
-from wittforge.rings import ParseError, make_ring
+from wittforge.rings import ParseError, UnsupportedRing, make_ring
 from wittforge.universal import GenerationError, get_universal
 
 _DIGIT_TESTS = {"isdigit", "isdecimal", "isnumeric"}
@@ -89,6 +89,7 @@ def test_anything_else_is_no_numeral(text):
 # empty item, which read as the list without it
 RING_DESCRIPTORS = [
     "zmod:٧", "zmod:07", "poly(integers; x,,y)", "poly(integers; x,)", "poly(integers; x; inv x,,)",
+    "quot(poly(integers; x); 1*x^2+1,)", "quot(poly(integers; x); ,1*x^2+1)",
 ]
 INDEX_SETS = ["div:1_0", "div:+6", "div:٦", "ptyp:٢:3", "set:1,٢", "set:1,,2", "set:1,2,", "set:,1"]
 LITERALS = [
@@ -126,6 +127,18 @@ def test_a_frobenius_family_has_one_name():
 
 def test_a_blank_list_is_the_empty_one():
     assert make_ring("poly(integers; x; inv )") == make_ring("poly(integers; x)")
+
+
+def test_a_blank_relation_section_is_no_relation():
+    with pytest.raises(UnsupportedRing):
+        make_ring("quot(poly(integers; x); )")
+
+
+@pytest.mark.parametrize("descriptor", [
+    "quot(poly(integers; x); 1+1*x^2)", "quot(poly(integers; x);  1*x^2+1 )",
+])
+def test_canonical_quotients_still_read(descriptor):
+    assert make_ring(descriptor).descriptor() == "quot(poly(integers; x); 1+1*x^2)"
 
 
 @pytest.mark.parametrize("descriptor, literal, value", [

@@ -360,10 +360,10 @@ def test_intpoly_engine():
     p = IntPoly(2, {(1, 0): 1, (0, 1): 1})
     assert (p**2) == IntPoly(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
     assert (p - p) == IntPoly(2)
-    q = (p**2).exact_div(1)
+    q = (p**2).exact_div_int(1)
     assert q == p**2
     with pytest.raises(Exception):
-        (p**2).exact_div(2)
+        (p**2).exact_div_int(2)
     assert p.frobenius_substitute(3) == IntPoly(2, {(3, 0): 1, (0, 3): 1})
 
 

@@ -69,7 +69,7 @@ def test_mul_examples():
 
 def test_ghost():
     r = INTEGERS(3)
-    t = teichmuller(r, E6)
+    t = teichmuller(r, E6, INTEGERS)
     g = ghost(t)
     assert [g[n].value for n in E6] == [3, 9, 27, 729]
     assert all(v.is_zero() for v in ghost(witt_zero(E6, INTEGERS)).values())
