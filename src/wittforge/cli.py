@@ -164,7 +164,7 @@ def cmd_distinguished(args):
 def cmd_cone(args):
     ring = make_ring(args.base)
     dvals = args.d.split(",") if args.d else []  # --d "" is the zero module
-    q = QuasiIdeal(ring, FreeModule(ring, len(dvals)), dvals)
+    q = QuasiIdeal(FreeModule(ring, len(dvals)), dvals)
     ok, witness = quasi_ideal_check(q)
     out = {"quasi_ideal_law": ok}
     if not ok:

@@ -22,7 +22,7 @@ from .rings import ENUM_CAP, Ring, UnsupportedRing
 
 
 class ConeError(WittforgeError):
-    """A failed cone computation; perfbench's harness counts it among the typed errors."""
+    """A failed cone computation, such as a product across two ring levels."""
 
 
 class Module:
@@ -129,12 +129,15 @@ class IdealModule(Module):
 
 @dataclass
 class QuasiIdeal:
-    ring: Ring
     module: Module
-    d_gens: list  # image of each module generator under d
+    d_gens: list  # image of each module generator under d, in the module's ring
 
     def __post_init__(self):
         self.d_gens = [self.ring.raw(v) for v in self.d_gens]
+
+    @property
+    def ring(self) -> Ring:
+        return self.module.ring
 
     def d(self, x):
         """Apply the structure map, expanding x against the generators."""
@@ -142,12 +145,12 @@ class QuasiIdeal:
 
     @classmethod
     def rank_one(cls, ring: Ring, d_value) -> "QuasiIdeal":
-        return cls(ring, FreeModule(ring, 1), [d_value])
+        return cls(FreeModule(ring, 1), [d_value])
 
     @classmethod
     def from_ideal(cls, ring: Ring, generators) -> "QuasiIdeal":
         mod = IdealModule(ring, generators)
-        return cls(ring, mod, mod.generators())
+        return cls(mod, mod.generators())
 
 
 def quasi_ideal_check(q: QuasiIdeal):
@@ -171,6 +174,9 @@ def cone_level_one(q: QuasiIdeal, n: int):
 
 
 def cone_level_mul(q: QuasiIdeal, u, v):
+    """The product of two elements of one ring level R_n."""
+    if len(u) != len(v):
+        raise ConeError(f"cannot multiply elements of the levels R_{len(u)} and R_{len(v)}")
     r, s = u[0], v[0]
     out = [q.ring.mul(r, s)]
     for x, y in zip(u[1:], v[1:]):

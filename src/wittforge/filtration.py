@@ -162,16 +162,6 @@ class Subspace:
     def contains(self, other: "Subspace"):
         return all(self.contains_vector(r) for r in other.basis)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.ambient == other.ambient
-            and self.basis == other.basis
-        )
-
-    def __hash__(self):
-        return hash((self.ambient, self.basis))
-
 
 def kron(v, w):
     return tuple(a * b for a in v for b in w)

@@ -263,8 +263,6 @@ class RingElement:
     def __eq__(self, other):
         if isinstance(other, RingElement):
             return self.ring == other.ring and self.value == other.value
-        if isinstance(other, int):
-            return self.value == self.ring.from_int(other)
         return NotImplemented
 
     def __hash__(self):

@@ -11,6 +11,7 @@ carrying the twisted Verschiebung cannot have a global generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iter_product
 
 from .indexset import IndexSet
@@ -70,9 +71,11 @@ class LocalContext:
     def rational(cls, ring: Ring, E: IndexSet) -> "LocalContext":
         return cls(None, ring, E)
 
+    @cached_property
     def e_prime_to(self) -> IndexSet:
         return self.index_set if self.p is None else self.index_set.prime_to(self.p)
 
+    @cached_property
     def e_typical(self) -> IndexSet:
         return IndexSet.explicit([1]) if self.p is None else self.index_set.p_part(self.p)
 
@@ -81,14 +84,17 @@ class LocalContext:
 class DecomposedWitt:
     """Image of a Witt vector under W_E(R) ~ prod_{n in E_(p)} W_{E^(p)}(R)."""
 
-    p: int | None
-    index_set: IndexSet
-    factors: dict  # n in E_(p) -> WittVector over E^(p)
+    context: LocalContext
+    factors: dict  # n in E_(p) -> WittVector over E^(p) and the context's ring
 
     def __post_init__(self):
-        sets = {f.index_set for f in self.factors.values()}
-        if len(sets) > 1:
-            raise ContextError("factors must share one p-typical index set")
+        ctx = self.context
+        Ep, ring = ctx.e_typical, ctx.ring
+        if self.factors.keys() != set(ctx.e_prime_to) or not all(
+            isinstance(f, WittVector) and f.index_set == Ep and f.ring == ring
+            for f in self.factors.values()
+        ):
+            raise ContextError(f"factors must be keyed by {ctx.e_prime_to}, in W_{Ep}({ring})")
 
     def factor(self, n: int) -> WittVector:
         return self.factors[n]
@@ -102,16 +108,16 @@ class VModuleLocal:
 
     def generator(self) -> DecomposedWitt:
         ctx = self.context
-        Ep = ctx.e_typical()
+        Ep = ctx.e_typical
         one = witt_one(Ep, ctx.ring)
-        return DecomposedWitt(ctx.p, ctx.index_set, {n: one for n in ctx.e_prime_to()})
+        return DecomposedWitt(ctx, {n: one for n in ctx.e_prime_to})
 
     def scale(self, w: DecomposedWitt, a: WittVector) -> DecomposedWitt:
+        if w.context != self.context:
+            raise ContextError("the decomposed vector belongs to another context")
         da = local_decompose(a, self.context)
         return DecomposedWitt(
-            w.p,
-            w.index_set,
-            {n: witt_mul(da.factor(n), w.factor(n)) for n in w.factors},
+            self.context, {n: witt_mul(da.factor(n), w.factor(n)) for n in w.factors}
         )
 
 
@@ -161,14 +167,14 @@ def local_decompose(a: WittVector, ctx: LocalContext) -> DecomposedWitt:
     """Factor at n in E_(p) is the E^(p)-truncation of F_n(a)."""
     if a.index_set != ctx.index_set or a.ring != ctx.ring:
         raise ContextError("context does not match the vector")
-    Ep = ctx.e_typical()
+    Ep = ctx.e_typical
     factors = {}
-    for n in ctx.e_prime_to():
+    for n in ctx.e_prime_to:
         factors[n] = restrict(frobenius(n, a), Ep)
-    return DecomposedWitt(ctx.p, ctx.index_set, factors)
+    return DecomposedWitt(ctx, factors)
 
 
-def local_recompose(d: DecomposedWitt, ctx: LocalContext) -> WittVector:
+def local_recompose(d: DecomposedWitt) -> WittVector:
     """Two-sided inverse of local_decompose.
 
     Coordinates are recovered in increasing order: for m = n p^j with n prime
@@ -177,6 +183,7 @@ def local_recompose(d: DecomposedWitt, ctx: LocalContext) -> WittVector:
     inverts.  The lower terms are F_n of the partial vector, whose
     coordinates from m on are still zero.
     """
+    ctx = d.context
     E, ring = ctx.index_set, ctx.ring
     coords = [ring.zero()] * len(E)
     for i, m in enumerate(E):
@@ -197,22 +204,20 @@ def local_recompose(d: DecomposedWitt, ctx: LocalContext) -> WittVector:
 # the twisted Verschiebung map V(1) in a local chart
 
 
-def v_one_apply(w: DecomposedWitt, ctx: LocalContext) -> WittVector:
+def v_one_apply(w: DecomposedWitt) -> WittVector:
     """Send factor 1 through V_p . F_p, keep the other factors, recompose.
 
     The image always has first ghost component zero, i.e. lands in the
     Verschiebung ideal.
     """
-    Ep = ctx.e_typical()
+    ctx, factors = w.context, dict(w.factors)
+    Ep = ctx.e_typical
     if ctx.p is None or len(Ep) < 2:
         # degenerate p-typical direction: V_p . F_p is the zero map
-        factors = dict(w.factors)
         factors[1] = witt_zero(Ep, ctx.ring)
     else:
-        f1 = w.factor(1)
-        factors = dict(w.factors)
-        factors[1] = verschiebung(ctx.p, frobenius(ctx.p, f1), Ep)
-    return local_recompose(DecomposedWitt(w.p, w.index_set, factors), ctx)
+        factors[1] = verschiebung(ctx.p, frobenius(ctx.p, w.factor(1)), Ep)
+    return local_recompose(DecomposedWitt(ctx, factors))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +241,7 @@ def is_hodge_tate(v: WittVector, ctx: LocalContext) -> bool:
     components units.
     """
     d = local_decompose(v, ctx)
-    Ep = ctx.e_typical()
+    Ep = ctx.e_typical
     f1 = d.factor(1)
     if f1.coord_raw(1) != ctx.ring.zero():
         return False

@@ -258,10 +258,8 @@ def _random_eval_check(op, n, target, polys, rng):
             raise GenerationError(f"ghost identity violated at level {n} of {op}")
 
 
-def generate_universal_polynomials(
-    E: IndexSet, op: str, term_cap: int = DEFAULT_TERM_CAP
-) -> UniversalEntry:
-    """Generate one family, materializing levels up to term_cap.
+def generate_universal_polynomials(E: IndexSet, op: str) -> UniversalEntry:
+    """Generate one family, materializing each level whose term bound is within DEFAULT_TERM_CAP.
 
     Oversized levels get the congruence certificate instead of an expansion;
     both paths verify exactness, neither ever rounds.
@@ -276,7 +274,7 @@ def generate_universal_polynomials(
 
     for n in levels:
         lower = [d for d in divisors(n) if d != n and d in polys]
-        if _level_bound(E, op, n) > term_cap or any(polys[d] is None for d in lower):
+        if _level_bound(E, op, n) > DEFAULT_TERM_CAP or any(polys[d] is None for d in lower):
             _certify_step(E, op, n)
             polys[n] = None
             certified.append(n)
@@ -306,7 +304,7 @@ def _cache_path(E: IndexSet, op: str):
 
 
 def get_universal(E: IndexSet, op: str) -> UniversalEntry:
-    """The family (E, op) at the default term cap, from memory, disk or generation.
+    """The family (E, op), from memory, disk or generation.
 
     A cache file that is unreadable, of another format or inconsistent is a
     miss: the family is generated and the file rewritten.  The disk cache is

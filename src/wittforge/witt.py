@@ -86,39 +86,17 @@ class WittVector:
         return f"W{self.index_set}({body})"
 
     # -- arithmetic ------------------------------------------------------------
-    def _match(self, other):
-        if not isinstance(other, WittVector):
-            raise WittError(f"cannot combine WittVector with {other!r}")
-        if other.index_set != self.index_set:
-            raise WittError(f"index set mismatch: {self.index_set} vs {other.index_set}")
-        if other.ring != self.ring:
-            raise RingMismatch(
-                f"ring mismatch: {self.ring.descriptor()} vs {other.ring.descriptor()}"
-            )
-        return other
-
     def __add__(self, other):
-        return witt_add(self, self._match(other))
+        return witt_add(self, other)
 
     def __mul__(self, other):
-        return witt_mul(self, self._match(other))
+        return witt_mul(self, other)
 
     def __neg__(self):
         return witt_neg(self)
 
     def __sub__(self, other):
-        return witt_sub(self, self._match(other))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WittVector)
-            and self.index_set == other.index_set
-            and self.ring == other.ring
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((self.index_set, self.ring, self.coords))
+        return witt_sub(self, other)
 
     def is_zero(self):
         z = self.ring.zero()
@@ -274,9 +252,17 @@ def _ghostwise(op: str, *vectors: WittVector) -> WittVector:
     """Apply the ring operation op of the lift S to the ghosts, level by level.
 
     Over a ring of fractions of S it computes on [D]a (and [D]b) over S, which
-    gives [D](a o b), or [D^2](a * b) for a product.
+    gives [D](a o b), or [D^2](a * b) for a product.  Every operand must be a
+    vector over the first one's index set and ring.
     """
     E, ring = vectors[0].index_set, vectors[0].ring
+    for other in vectors[1:]:
+        if not isinstance(other, WittVector):
+            raise WittError(f"cannot combine WittVector with {other!r}")
+        if not (other.index_set is E or other.index_set == E):
+            raise WittError(f"index set mismatch: {E} vs {other.index_set}")
+        if not (other.ring is ring or other.ring == ring):
+            raise RingMismatch(f"ring mismatch: {ring.descriptor()} vs {other.ring.descriptor()}")
     if ring.clear_denominators is not None:
         S, D, lists, unscale = _cleared(ring, E.elements, [v.coords for v in vectors])
         z = _ghostwise(op, *(WittVector(E, S, xs) for xs in lists)).coords

@@ -577,6 +577,13 @@ MALFORMED = [
       "--a", "1,0"], "ParseError"),
     (["ghost", "--ring", "quot(poly(integers; x); ,1*x^2+1)", "--index-set", "div:2",
       "--a", "1,0"], "ParseError"),
+    # steps must decrease, and rees needs --line or --step
+    (["rees", "--step", "1,2"], "UsageError"),
+    (["rees"], "UsageError"),
+    # distinguished needs a local context
+    (["distinguished", "--ring", "zmod:4", "--index-set", "div:2", "--xi", "2,3"], "UsageError"),
+    # the point search visits the 4 vectors of W_{1,2}(Z/2)
+    (WITT_POINTS + ["--budget-enum", "3"], "EnumerationBudget"),
 ]
 
 
@@ -586,6 +593,22 @@ def test_malformed_input_exit_code(argv, error, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
+
+
+# paths the README does not invoke, with their whole output
+OUTPUTS = [
+    (["decompose", "--ring", "rationals", "--index-set", "div:6", "--a", "1,2,3,4", "--rational"],
+     '{"factors":{"1":{"1":"1"},"2":{"1":"5"},"3":{"1":"10"},"6":{"1":"68"}},"p":null}\n'),
+    (["hodge-tate", "--ring", "rationals", "--index-set", "div:2", "--v", "0,5", "--rational"],
+     '{"hodge_tate":true}\n'),
+    (WITT_POINTS + ["--budget-enum", "4"],
+     '{"count":2,"points":[[{"1":"0","2":"0"}],[{"1":"1","2":"0"}]]}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, expected", OUTPUTS, ids=[argv[0] for argv, _ in OUTPUTS])
+def test_output_of_paths_outside_the_readme(argv, expected, capsys):
+    assert run_cli(argv, capsys) == (0, expected, "")
 
 
 def test_a_wholly_empty_relation_list_is_no_relation(capsys):

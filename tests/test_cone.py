@@ -3,6 +3,7 @@ import random
 import pytest
 
 from wittforge.cone import (
+    ConeError,
     FreeModule,
     QuasiIdeal,
     UnsupportedRing,
@@ -30,7 +31,7 @@ def test_law_rank_one():
 
 def test_law_negative_control():
     R = make_ring("poly(integers; a,b)")
-    q = QuasiIdeal(R, FreeModule(R, 2), [R.variable("a"), R.variable("b")])
+    q = QuasiIdeal(FreeModule(R, 2), [R.variable("a"), R.variable("b")])
     ok, witness = quasi_ideal_check(q)
     assert not ok and witness is not None
     # commutativity fails exactly when the law does
@@ -44,6 +45,27 @@ def test_level_arithmetic_worked_example():
     assert cone_level_mul(q, (1, (3,)), (2, (5,))) == (2, (41,))
     assert cone_level_mul(q, (3, (0,)), (4, (0,))) == (12, (0,))
     assert cone_level_mul(q, (0, (3,)), (0, (5,))) == (0, (30,))
+
+
+def test_level_mul_refuses_two_levels():
+    # a product across R_3 and R_2 used to truncate to (2, (41,))
+    q = QuasiIdeal.rank_one(INTEGERS, 2)
+    with pytest.raises(ConeError):
+        cone_level_mul(q, (1, (3,), (4,)), (2, (5,)))
+    with pytest.raises(ConeError):
+        cone_level_mul(q, (1,), (2, (5,)))
+
+
+def test_a_quasi_ideal_takes_its_ring_from_its_module():
+    z4 = make_ring("zmod:4")
+    q = QuasiIdeal(FreeModule(z4, 1), [6])
+    assert q.ring is z4 and q.d_gens == [2]
+    assert QuasiIdeal.from_ideal(INTEGERS, [3]).ring is INTEGERS
+    # the ring is no longer a second argument that could disagree with the module's
+    with pytest.raises(TypeError):
+        QuasiIdeal(INTEGERS, FreeModule(z4, 1), [2])
+    with pytest.raises(AttributeError):
+        q.ring = INTEGERS
 
 
 def test_level_axioms_random():
@@ -118,7 +140,7 @@ def _class_of_cases():
     return [
         (QuasiIdeal.rank_one(W2, (2, 3)), [(0, 0, 0), [0, 0]], [(0, 4), (4, -1)]),
         (QuasiIdeal.rank_one(W124, (2, 1, 0)), [(0, 0), (0, 0, "1")], [(0, 0, 4)]),
-        (QuasiIdeal(z12, FreeModule(z12, 2), [4, 6]), ["1", 0.5], [12, -1]),
+        (QuasiIdeal(FreeModule(z12, 2), [4, 6]), ["1", 0.5], [12, -1]),
     ]
 
 

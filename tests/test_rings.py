@@ -155,6 +155,15 @@ def test_quotient_unit_over_integers():
     assert q.unit_inverse(q.raw(2)) is None
 
 
+def test_equal_elements_hash_equal_and_equal_no_int():
+    z4 = make_ring("zmod:4")
+    assert z4(3) == z4(7) and hash(z4(3)) == hash(z4(7)) and len({z4(3), z4(7)}) == 1
+    # an int is no element: Python's set and dict lookups agree with ==
+    assert z4(3) != 7 and z4(3) != 3 and 7 != z4(3)
+    assert 7 not in {z4(3)} and len({z4(3), 7}) == 2
+    assert z4(3) != make_ring("zmod:5")(3) and z4(3) != INTEGERS(3)
+
+
 def test_zero_ring():
     zr = make_ring("quot(poly(rationals; t); 1)")
     assert zr.size() == 1

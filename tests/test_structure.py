@@ -66,8 +66,8 @@ def test_local_context_certificates():
 def test_decompose_teichmuller():
     ctx = LocalContext.p_local(3, Z9, E6)
     d = local_decompose(teichmuller(5, E6, Z9), ctx)
-    assert d.factor(1) == teichmuller(5, ctx.e_typical(), Z9)
-    assert d.factor(2) == teichmuller(25 % 9, ctx.e_typical(), Z9)
+    assert d.factor(1) == teichmuller(5, ctx.e_typical, Z9)
+    assert d.factor(2) == teichmuller(25 % 9, ctx.e_typical, Z9)
     assert local_decompose(witt_zero(E6, Z9), ctx).factor(2).is_zero()
 
 
@@ -77,14 +77,50 @@ def test_decompose_round_trip_and_iso():
     for _ in range(100):
         a, b = random_witt(E6, Z9, rng), random_witt(E6, Z9, rng)
         da, db = local_decompose(a, ctx), local_decompose(b, ctx)
-        assert local_recompose(da, ctx) == a
+        assert local_recompose(da) == a
         dprod = local_decompose(a * b, ctx)
         for n in da.factors:
             assert dprod.factor(n) == da.factor(n) * db.factor(n)
     ctxq = LocalContext.rational(RATIONALS, E6)
     for _ in range(100):
         a = random_witt(E6, RATIONALS, rng)
-        assert local_recompose(local_decompose(a, ctxq), ctxq) == a
+        assert local_recompose(local_decompose(a, ctxq)) == a
+
+
+def test_a_decomposition_carries_its_context():
+    ctx9 = LocalContext.p_local(3, Z9, E6)
+    ctx3 = LocalContext.p_local(3, make_ring("zmod:3"), E6)
+    a = random_witt(E6, Z9, random.Random(5))
+    d = local_decompose(a, ctx9)
+    assert d.context == ctx9
+    assert local_recompose(d) == a and local_recompose(d).ring == Z9
+    assert v_one_apply(d).ring == Z9
+    # recomposing or applying V(1) in another context used to return a
+    # vector over that context's ring; the context is no longer an argument
+    with pytest.raises(TypeError):
+        local_recompose(d, ctx3)
+    with pytest.raises(TypeError):
+        v_one_apply(d, ctx3)
+    # factors over another ring, index set or key set are refused
+    with pytest.raises(ContextError):
+        DecomposedWitt(ctx3, d.factors)
+    with pytest.raises(ContextError):
+        DecomposedWitt(ctx9, {1: d.factor(1)})
+    with pytest.raises(ContextError):
+        DecomposedWitt(ctx9, {n: witt_zero(E2, Z9) for n in d.factors})
+    with pytest.raises(ContextError):
+        DecomposedWitt(ctx9, {n: 0 for n in d.factors})
+
+
+def test_scale_refuses_a_vector_of_another_context():
+    ctx9 = LocalContext.p_local(3, Z9, E6)
+    ctx3 = LocalContext.p_local(3, make_ring("zmod:3"), E6)
+    a = random_witt(E6, Z9, random.Random(6))
+    w3 = VModuleLocal(ctx3).generator()
+    with pytest.raises(ContextError):
+        VModuleLocal(ctx9).scale(w3, a)
+    w9 = VModuleLocal(ctx9).generator()
+    assert VModuleLocal(ctx9).scale(w9, a) == local_decompose(a, ctx9)
 
 
 def test_witt_unit():
@@ -106,26 +142,26 @@ def test_v_one_examples():
     E3 = IndexSet.p_typical(3, 1)
     ctx = LocalContext.p_local(3, Z9, E3)
     gen = VModuleLocal(ctx).generator()
-    img = v_one_apply(gen, ctx)
+    img = v_one_apply(gen)
     assert img == make_witt(E3, Z9, [0, 1])
     assert ghost_raw(img)[1] == 0
-    zero = DecomposedWitt(3, E3, {1: witt_zero(E3, Z9)})
-    assert v_one_apply(zero, ctx).is_zero()
+    zero = DecomposedWitt(ctx, {1: witt_zero(E3, Z9)})
+    assert v_one_apply(zero).is_zero()
     # image of the generator is Hodge-Tate in the richer index set too
     ctx6 = LocalContext.p_local(3, Z9, E6)
-    img6 = v_one_apply(VModuleLocal(ctx6).generator(), ctx6)
+    img6 = v_one_apply(VModuleLocal(ctx6).generator())
     assert is_hodge_tate(img6, ctx6)
 
 
 def test_v_one_degenerate_direction():
     # E^(p) = {1}: V_p . F_p is zero, so the factor at 1 goes to zero
     ctxq = LocalContext.rational(RATIONALS, E6)
-    img = v_one_apply(VModuleLocal(ctxq).generator(), ctxq)
+    img = v_one_apply(VModuleLocal(ctxq).generator())
     assert img == make_witt(E6, RATIONALS, ["0", "1/2", "1/3", "5/72"])
     assert ghost_raw(img) == {1: 0, 2: 1, 3: 1, 6: 1}
     Z7 = make_ring("zmod:7")
     ctx5 = LocalContext.p_local(5, Z7, E6)
-    assert v_one_apply(VModuleLocal(ctx5).generator(), ctx5) == make_witt(E6, Z7, [0, 4, 5, 6])
+    assert v_one_apply(VModuleLocal(ctx5).generator()) == make_witt(E6, Z7, [0, 4, 5, 6])
 
 
 def test_hodge_tate_examples():

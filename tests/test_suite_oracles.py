@@ -307,8 +307,8 @@ def _recompose_is_off_by_one(monkeypatch):
     """local_recompose adds 1 when the last coordinate comes out odd."""
     recompose = structure.local_recompose
 
-    def faulty(d, ctx):
-        a = recompose(d, ctx)
+    def faulty(d):
+        a = recompose(d)
         return _plus_one(a) if _odd(a.coords[-1]) else a
 
     _replace(monkeypatch, structure, "local_recompose", faulty)

@@ -72,9 +72,10 @@ def test_bad_family_name_is_typed(op):
     assert (E2.key(), "frobenius:2") in _MEM and (E2.key(), op) not in _MEM
 
 
-def test_generation_certificates_for_oversized_levels():
+def test_generation_certificates_for_oversized_levels(monkeypatch):
     E = IndexSet.p_typical(5, 4)
-    entry = generate_universal_polynomials(E, "sum", term_cap=200)
+    monkeypatch.setattr(universal, "DEFAULT_TERM_CAP", 200)
+    entry = generate_universal_polynomials(E, "sum")
     assert 625 in entry.certified
     assert entry.polys[625] is None
     assert entry.polys[1] is not None
@@ -367,7 +368,7 @@ def test_intpoly_engine():
     assert p.frobenius_substitute(3) == IntPoly(2, {(3, 0): 1, (0, 3): 1})
 
 
-def test_certificates_agree_with_exact_expansion():
+def test_certificates_agree_with_exact_expansion(monkeypatch):
     # force certificate mode on levels that are also small enough to expand,
     # then confirm the materialized ground truth exists with exact divisions
     for E, op in (
@@ -375,8 +376,10 @@ def test_certificates_agree_with_exact_expansion():
         (IndexSet.divisors_of(12), "product"),
         (IndexSet.p_typical(3, 3), "sum"),
     ):
-        forced = generate_universal_polynomials(E, op, term_cap=5)
-        exact = generate_universal_polynomials(E, op, term_cap=10**9)
+        monkeypatch.setattr(universal, "DEFAULT_TERM_CAP", 5)
+        forced = generate_universal_polynomials(E, op)
+        monkeypatch.setattr(universal, "DEFAULT_TERM_CAP", 10**9)
+        exact = generate_universal_polynomials(E, op)
         assert forced.certified, "expected certificate-mode levels"
         assert not exact.certified
         for n in forced.certified:

@@ -27,10 +27,13 @@ from wittforge.witt import (
     teichmuller,
     unghost,
     verschiebung,
+    witt_add,
     witt_from_int,
     witt_mul,
+    witt_neg,
     witt_one,
     witt_space,
+    witt_sub,
     witt_unit_inverse,
     witt_zero,
 )
@@ -217,6 +220,50 @@ def test_mismatches():
         a + b
     with pytest.raises(RingMismatch):
         a + make_witt(E2, make_ring("zmod:4"), [1, 0])
+
+
+_Z4, _Z5 = make_ring("zmod:4"), make_ring("zmod:5")
+_MIXED = {
+    "ring": (
+        make_witt(E2, _Z4, [1, 1]), make_witt(E2, _Z5, [3, 3]), RingMismatch,
+        "^ring mismatch: zmod:4 vs zmod:5$",
+    ),
+    "index set": (
+        make_witt(E2, INTEGERS, [1, 0]), make_witt(E6, INTEGERS, [1, 0, 0, 0]), WittError,
+        r"^index set mismatch: \{1,2\} vs \{1,2,3,6\}$",
+    ),
+    "non-vector": (
+        make_witt(E2, INTEGERS, [1, 0]), 3, WittError, "^cannot combine WittVector with 3$",
+    ),
+}
+_OPERATIONS = {
+    "add": (witt_add, lambda a, b: a + b),
+    "sub": (witt_sub, lambda a, b: a - b),
+    "mul": (witt_mul, lambda a, b: a * b),
+}
+
+
+@pytest.mark.parametrize("mixed", sorted(_MIXED))
+@pytest.mark.parametrize("op", sorted(_OPERATIONS))
+def test_an_operation_and_its_operator_refuse_mixed_operands_alike(op, mixed):
+    a, b, error, message = _MIXED[mixed]
+    for call in _OPERATIONS[op]:
+        with pytest.raises(error, match=message):
+            call(a, b)
+
+
+def test_negation_operator_is_witt_neg():
+    rng = random.Random(11)
+    for ring in (INTEGERS, RATIONALS, _Z4):
+        a = random_witt(E6, ring, rng)
+        assert -a == witt_neg(a) and -a + a == witt_zero(E6, ring)
+
+
+def test_equal_witt_vectors_hash_equal():
+    a, b = make_witt(E2, _Z4, [1, 3]), make_witt(E2, _Z4, [5, -1])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != make_witt(E2, _Z5, [1, 3]) and a != make_witt(E2, _Z4, [3, 1])
+    assert a != (1, 3)
 
 
 def test_json():
